@@ -17,8 +17,14 @@
 //     wall-clock, so that number is informational, not gated;
 //   * decode_fidelity: FNV-1a digest of quartz_decode's JSONL vs the
 //     direct JsonlEventWriter export (equality always QUARTZ_CHECKed).
+//
+// Plus crc_throughput: GB/s of the page checksum (quartz::crc32) over
+// 64 KiB pages, for the dispatched kernel and the portable fallback,
+// with the dispatched kernel's name in `path` (CI requires >= 4x the
+// portable rate when the path is "pclmul").
 #include "report.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <sstream>
@@ -26,6 +32,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/crc32.hpp"
 #include "sim/experiments.hpp"
 #include "telemetry/binary_stream.hpp"
 #include "telemetry/decode.hpp"
@@ -85,6 +92,51 @@ void run_encode_throughput() {
        {"bytes_per_event", bytes_per_event},
        {"pages", static_cast<std::int64_t>(sink.pages())},
        {"mb_per_sec", records_per_sec * bytes_per_event / 1e6}});
+}
+
+// ---------------------------------------------------------------------------
+// Page checksum throughput: the CRC every sealed page pays, over a few
+// cache-resident 64 KiB pages (a page is sealed right after it is
+// written, so its bytes are hot).
+
+double crc_gb_per_sec(std::uint32_t (*crc)(const void*, std::size_t, std::uint32_t),
+                      const std::vector<unsigned char>& pages) {
+  constexpr int kPasses = 64;
+  double best = 1e100;
+  std::uint32_t sink = 0;
+  for (int round = 0; round < 3; ++round) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int pass = 0; pass < kPasses; ++pass) {
+      for (std::size_t at = 0; at < pages.size(); at += telemetry::kPagePayloadBytes) {
+        sink ^= crc(pages.data() + at, telemetry::kPagePayloadBytes, 0);
+      }
+    }
+    best = std::min(best, seconds_since(start));
+  }
+  benchmark::DoNotOptimize(sink);
+  return static_cast<double>(pages.size()) * kPasses / best / 1e9;
+}
+
+void run_crc_throughput() {
+  constexpr std::size_t kPages = 8;
+  std::vector<unsigned char> pages(kPages * telemetry::kPagePayloadBytes);
+  std::uint32_t state = 0x2545F491u;
+  for (auto& b : pages) {
+    state = state * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(state >> 24);
+  }
+  const double dispatched = crc_gb_per_sec(&crc32, pages);
+  const double portable = crc_gb_per_sec(&crc32_portable, pages);
+  const double page_us = telemetry::kPagePayloadBytes / (dispatched * 1e3);
+  std::printf("\npage crc throughput (%s): dispatched %.2f GB/s, portable %.2f GB/s "
+              "(%.1fx), %.2f us per 64 KiB page\n",
+              crc32_kernel(), dispatched, portable, dispatched / portable, page_us);
+  bench::Report::instance().add_row("crc_throughput",
+                                    {{"path", std::string(crc32_kernel())},
+                                     {"dispatched_gb_per_sec", dispatched},
+                                     {"portable_gb_per_sec", portable},
+                                     {"speedup", dispatched / portable},
+                                     {"page_us", page_us}});
 }
 
 // ---------------------------------------------------------------------------
@@ -245,6 +297,7 @@ void run_decode_fidelity() {
 void report() {
   bench::Report::instance().open("telemetry", "Binary event-stream cost and fidelity");
   run_encode_throughput();
+  run_crc_throughput();
   run_capture_overhead();
   run_decode_fidelity();
   bench::print_note(

@@ -9,6 +9,8 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/crc32.hpp"
+
 namespace quartz::snapshot {
 namespace {
 
@@ -188,9 +190,10 @@ TEST(SnapshotIo, NoIntactCheckpointYieldsNothing) {
 }
 
 TEST(SnapshotIo, Crc32MatchesKnownVector) {
-  // IEEE 802.3 reflected CRC-32 of "123456789".
+  // Chunks are checksummed with the shared quartz::crc32: the IEEE
+  // 802.3 reflected CRC-32 of "123456789".
   const char data[] = "123456789";
-  EXPECT_EQ(crc32(data, 9), 0xCBF43926u);
+  EXPECT_EQ(quartz::crc32(data, 9), 0xCBF43926u);
 }
 
 }  // namespace

@@ -12,14 +12,16 @@
 #include <thread>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "telemetry/decode.hpp"
 #include "telemetry/stream_sink.hpp"
 
 namespace quartz::telemetry {
 namespace {
 
-// Reference CRC-32: the textbook bit-at-a-time loop the slicing-by-8
-// implementation must agree with on every input length.
+// Reference CRC-32: the textbook bit-at-a-time loop the shared page
+// checksum (quartz::crc32, both its kernels) must agree with.  The
+// exhaustive differential test lives in tests/common/crc32_test.cpp.
 std::uint32_t crc32_reference(const void* data, std::size_t bytes) {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = 0xFFFFFFFFu;
@@ -32,12 +34,13 @@ std::uint32_t crc32_reference(const void* data, std::size_t bytes) {
 
 TEST(Crc32, KnownAnswerAndEmptyInput) {
   const char kat[] = "123456789";
-  EXPECT_EQ(crc32(kat, 9), 0xCBF43926u);  // the IEEE 802.3 check value
-  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  EXPECT_EQ(quartz::crc32(kat, 9), 0xCBF43926u);  // the IEEE 802.3 check value
+  EXPECT_EQ(quartz::crc32(nullptr, 0), 0u);
 }
 
 TEST(Crc32, SlicedPathMatchesBitwiseReferenceAtEveryLength) {
-  // Lengths straddling the 8-byte fast path and its byte-wise tail.
+  // Lengths straddling the 8-byte sliced loop, its byte-wise tail and
+  // the 64-byte threshold of the folding kernel.
   std::vector<unsigned char> buf(257);
   std::uint32_t state = 0x12345678u;
   for (auto& b : buf) {
@@ -45,16 +48,19 @@ TEST(Crc32, SlicedPathMatchesBitwiseReferenceAtEveryLength) {
     b = static_cast<unsigned char>(state >> 24);
   }
   for (std::size_t len = 0; len <= buf.size(); ++len) {
-    ASSERT_EQ(crc32(buf.data(), len), crc32_reference(buf.data(), len)) << "len " << len;
+    const std::uint32_t want = crc32_reference(buf.data(), len);
+    ASSERT_EQ(quartz::crc32_portable(buf.data(), len), want) << "len " << len;
+    ASSERT_EQ(quartz::crc32(buf.data(), len), want) << "len " << len;
   }
 }
 
 TEST(Crc32, SeedChainsAcrossSplits) {
   const char data[] = "quartz binary event stream";
   const std::size_t n = sizeof(data) - 1;
-  const std::uint32_t whole = crc32(data, n);
+  const std::uint32_t whole = quartz::crc32(data, n);
   for (std::size_t split = 0; split <= n; ++split) {
-    EXPECT_EQ(crc32(data + split, n - split, crc32(data, split)), whole) << "split " << split;
+    EXPECT_EQ(quartz::crc32(data + split, n - split, quartz::crc32(data, split)), whole)
+        << "split " << split;
   }
 }
 
