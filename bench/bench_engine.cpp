@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <queue>
 #include <thread>
@@ -114,14 +115,14 @@ constexpr TimePs kFlowStagger = kArrivalGap / kFlows;
 
 int hops_for(std::uint64_t id) { return 1 + static_cast<int>(id % 3); }
 
-class TypedReplay final : public sim::EventHandler {
+class TypedReplay final : public sim::EventHandler, public sim::TimerHandler {
  public:
   TypedReplay() { queue_.set_handler(this); }
 
   void run(std::uint64_t packets) {
     remaining_ = packets;
     for (int flow = 0; flow < kFlows; ++flow) {
-      queue_.schedule(queue_.now() + kArrivalGap + flow * kFlowStagger, [this] { arrival(); });
+      queue_.schedule_timer(queue_.now() + kArrivalGap + flow * kFlowStagger, {this, 0, 0, 0});
     }
     while (!queue_.empty()) queue_.run_one();
   }
@@ -132,7 +133,8 @@ class TypedReplay final : public sim::EventHandler {
   const sim::EventQueue& engine() const { return queue_; }
 
  private:
-  void arrival() {
+  /// One flow's next arrival.
+  void on_timer(const sim::TimerEvent&) override {
     if (remaining_ == 0) return;  // the other flows drained the budget
     const std::uint64_t id = next_id_++;
     --remaining_;
@@ -141,7 +143,7 @@ class TypedReplay final : public sim::EventHandler {
     event.packet.created = queue_.now();
     event.t0 = queue_.now() + kDecisionDelay;
     queue_.schedule_packet(event.t0, sim::EventType::kHeaderDecision, event);
-    if (remaining_ > 0) queue_.schedule(queue_.now() + kArrivalGap, [this] { arrival(); });
+    if (remaining_ > 0) queue_.schedule_timer(queue_.now() + kArrivalGap, {this, 0, 0, 0});
   }
 
   void on_packet_event(sim::EventType type, sim::PacketEvent& event) override {
@@ -298,10 +300,10 @@ void report() {
   }
   bench::Report::instance().add_table("engine_microbench", table);
   std::printf("speedup: %.2fx; typed steady-state allocations: %llu; pool high-water: "
-              "%zu packet slots, %zu callback slots\n",
+              "%zu packet slots, %zu timer slots\n",
               speedup, static_cast<unsigned long long>(typed.allocs),
               typed_replay.engine().packet_pool_capacity(),
-              typed_replay.engine().callback_pool_capacity());
+              typed_replay.engine().timer_pool_capacity());
   bench::Report::instance().add_row(
       "engine_summary",
       {{"legacy_events_per_sec", legacy.events_per_sec()},

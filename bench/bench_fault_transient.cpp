@@ -21,6 +21,7 @@
 #include "routing/health_monitor.hpp"
 #include "routing/oracle.hpp"
 #include "sim/fault_injection.hpp"
+#include "sim/fluid.hpp"
 #include "sim/network.hpp"
 #include "sim/probes.hpp"
 #include "sim/sweep.hpp"
@@ -265,11 +266,11 @@ DuelOutcome run_duel(bool monitored, std::uint32_t dead_after_misses,
   const topo::NodeId src = host_of(topo, link.a);
   const topo::NodeId dst = host_of(topo, link.b);
   const int task = net.new_task([](const sim::Packet&, TimePs) {});
-  for (int i = 0; i < 2'000; ++i) {
-    net.at(microseconds(50) * i, [&net, src, dst, task] {
-      net.send(src, dst, bytes(400), task, 99);  // one flow, stable hash
-    });
-  }
+  // One flow (flow id 99, stable hash): 400 B every 50 us, 2000 packets.
+  const Bits packet = bytes(400);
+  const TimePs gap = microseconds(50);
+  sim::CbrSource flow(net, {{src, dst, packet * 1e12 / gap, packet}}, task, 0, gap * 1'999, 99);
+  flow.arm();
 
   sim::FaultScheduler faults(net);
   inject(faults, victim);

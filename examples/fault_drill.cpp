@@ -28,8 +28,10 @@
 #include "routing/health_monitor.hpp"
 #include "routing/oracle.hpp"
 #include "sim/fault_injection.hpp"
+#include "sim/fluid.hpp"
 #include "sim/network.hpp"
 #include "sim/probes.hpp"
+#include "sim/workloads.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/sampler.hpp"
 #include "topo/failures.hpp"
@@ -111,11 +113,11 @@ DuelResult run_health_duel(
   const topo::NodeId src = first_host(t, link.a);
   const topo::NodeId dst = first_host(t, link.b);
   const int task = net.new_task({});
-  for (int i = 0; i < 2'000; ++i) {
-    net.at(microseconds(50) * i, [&net, src, dst, task] {
-      net.send(src, dst, bytes(400), task, 99);  // one flow, stable hash
-    });
-  }
+  // One flow (flow id 99, stable hash): 400 B every 50 us, 2000 packets.
+  const Bits packet = bytes(400);
+  const TimePs gap = microseconds(50);
+  sim::CbrSource flow(net, {{src, dst, packet * 1e12 / gap, packet}}, task, 0, gap * 1'999, 99);
+  flow.arm();
   sim::FaultScheduler faults(net);
   inject(faults, victim);
   net.run_until(milliseconds(200));
@@ -203,15 +205,8 @@ int run(int argc, char** argv) {
         SampleSet samples;
         const int task = net.new_task(
             [&samples](const sim::Packet&, TimePs l) { samples.add(to_microseconds(l)); });
-        Rng rng(7);
-        for (int i = 0; i < 2'000; ++i) {
-          net.at(microseconds(2) * i, [&net, &fabric, &rng, task] {
-            const auto src = fabric.hosts[rng.next_below(fabric.hosts.size())];
-            auto dst = fabric.hosts[rng.next_below(fabric.hosts.size())];
-            while (dst == src) dst = fabric.hosts[rng.next_below(fabric.hosts.size())];
-            net.send(src, dst, bytes(400), task, rng.next_u64());
-          });
-        }
+        sim::RandomPairSource source(net, task, bytes(400), microseconds(2), 2'000, Rng(7));
+        source.arm();
         net.run_until(milliseconds(20));
         return std::pair{samples.mean(), samples.max()};
       };
@@ -236,15 +231,8 @@ int run(int argc, char** argv) {
     telemetry::FaultTimeline timeline;
     net.add_sink(&timeline);
     const int task = net.new_task({});
-    Rng rng(11);
-    for (int i = 0; i < 40'000; ++i) {
-      net.at(microseconds(100) * i, [&net, &healthy, &rng, task] {
-        const auto src = healthy.hosts[rng.next_below(healthy.hosts.size())];
-        auto dst = healthy.hosts[rng.next_below(healthy.hosts.size())];
-        while (dst == src) dst = healthy.hosts[rng.next_below(healthy.hosts.size())];
-        net.send(src, dst, bytes(400), task, rng.next_u64());
-      });
-    }
+    sim::RandomPairSource source(net, task, bytes(400), microseconds(100), 40'000, Rng(11));
+    source.arm();
     sim::FaultScheduler faults(net);
     faults.schedule_fiber_cut(seconds(1), {0, 0}, seconds(3));
     net.run_until(seconds(4));

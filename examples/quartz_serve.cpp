@@ -165,12 +165,6 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
   if (!checkpoint_dir.empty() && checkpoint_every_ms < 1) return usage(argv[0]);
-  if (!checkpoint_dir.empty() && flags.get_bool("blackhole")) {
-    // The blackhole is scheduled as an engine closure, which a snapshot
-    // cannot carry — script chaos through FaultScheduler instead.
-    std::fprintf(stderr, "--blackhole cannot be combined with --checkpoint-dir\n");
-    return usage(argv[0]);
-  }
 
   std::printf("Quartz serve: %d switches x %d hosts, %.0f req/s offered for %.0f ms\n",
               config.ring.switches, config.ring.hosts_per_switch, config.arrivals_per_sec,
@@ -232,20 +226,29 @@ int main(int argc, char** argv) {
     loop.network().add_sink(events_writer.get());
   }
 
+  // Gray-fail the first mesh lightpath: the failure view never learns,
+  // so only timeouts (and the retry budget) notice.  The fault rides
+  // the loop's FaultScheduler, so checkpoints carry it: it is scripted
+  // into a fresh loop only, never into a restored one.
+  topo::LinkId blackhole = topo::kInvalidLink;
+  const TimePs blackhole_at = config.duration / 4;
   if (flags.get_bool("blackhole")) {
-    // Gray-fail the first mesh lightpath: the failure view never
-    // learns, so only timeouts (and the retry budget) notice.
     for (const auto& link : loop.topology().graph.links()) {
       if (link.wdm_channel < 0) continue;
-      const TimePs at = config.duration / 4;
-      loop.network().at(at, [&loop, id = link.id] { loop.network().set_link_loss(id, 1.0); });
+      blackhole = link.id;
       std::printf("  gray failure: mesh link %u blackholed from %.1f ms\n", link.id,
-                  to_microseconds(at) / 1000.0);
+                  to_microseconds(blackhole_at) / 1000.0);
       break;
     }
   }
+  const auto script_blackhole = [&] {
+    if (blackhole != topo::kInvalidLink) {
+      loop.faults().schedule_transceiver_aging(blackhole_at, blackhole, 1.0);
+    }
+  };
   serve::ServeReport defended;
   if (checkpoint_dir.empty()) {
+    script_blackhole();
     defended = loop.run();
   } else {
     // Checkpoint / restore notices go to stderr so a resumed run's
@@ -266,6 +269,7 @@ int main(int argc, char** argv) {
                      checkpoint_dir.c_str());
       }
     }
+    if (start_sequence == 0) script_blackhole();  // not restored
     serve::ServeLoop::CheckpointOptions options;
     options.dir = checkpoint_dir;
     options.every = milliseconds(checkpoint_every_ms);

@@ -90,8 +90,7 @@ StormRun::StormRun(const StormParams& params)
       oracle_(routing_),
       monitor_(topo_.graph.link_count(), storm_monitor_config()),
       net_(topo_, oracle_, storm_sim_config(params)),
-      faults_(net_),
-      traffic_rng_(params.seed ^ 0x545241FFull) {
+      faults_(net_) {
   QUARTZ_CHECK(!mesh_.empty(), "storm fabric has no mesh lightpaths");
 
   // Detection plane: probe-based monitor or the omniscient fixed-delay
@@ -111,6 +110,9 @@ StormRun::StormRun(const StormParams& params)
   task_ = net_.new_task([this](const sim::Packet& p, TimePs latency) {
     deliveries_.push_back({net_.now(), latency, p.hops});
   });
+  traffic_ = std::make_unique<sim::RandomPairSource>(
+      net_, task_, params_.packet_size, params_.packet_gap,
+      static_cast<std::uint64_t>(params_.packets), Rng(params_.seed ^ 0x545241FFull));
   // Digest sink: this object mixes the delivery and drop streams.
   net_.add_sink(this);
 
@@ -135,7 +137,7 @@ sim::HandlerMap StormRun::handler_map() const {
   sim::HandlerMap handlers;
   if (probes_ != nullptr) handlers.probes.push_back(probes_.get());
   handlers.timers.push_back(const_cast<sim::FaultScheduler*>(&faults_));
-  handlers.timers.push_back(const_cast<StormRun*>(this));
+  handlers.timers.push_back(traffic_.get());
   if (fluid_ != nullptr) handlers.timers.push_back(fluid_.get());
   return handlers;
 }
@@ -147,11 +149,7 @@ void StormRun::arm() {
   if (probes_ != nullptr) probes_->start(mesh_);
   if (fluid_ != nullptr) fluid_->arm();
 
-  // Workload: random host pairs on a fixed cadence, one flow per
-  // packet, driven by a self-chained timer (each tick sends one packet
-  // and schedules the next) so the whole schedule is two live events —
-  // and, unlike a closure per packet, checkpointable.
-  net_.schedule_timer(0, {this, kTrafficTag, 0, 0});
+  traffic_->arm();
 
   // Storm script.  The script RNG is fully consumed here at arm time,
   // so it never needs serializing.
@@ -210,20 +208,6 @@ void StormRun::arm() {
   }
 }
 
-void StormRun::on_timer(const sim::TimerEvent& event) {
-  QUARTZ_CHECK(event.tag == kTrafficTag, "storm run owns only the traffic timer");
-  const std::uint64_t index = event.a;
-  const auto& hosts = topo_.hosts;
-  const topo::NodeId src = hosts[traffic_rng_.next_below(hosts.size())];
-  topo::NodeId dst = hosts[traffic_rng_.next_below(hosts.size())];
-  while (dst == src) dst = hosts[traffic_rng_.next_below(hosts.size())];
-  net_.send(src, dst, params_.packet_size, task_, traffic_rng_.next_u64());
-  if (index + 1 < static_cast<std::uint64_t>(params_.packets)) {
-    net_.schedule_timer(params_.packet_gap * static_cast<TimePs>(index + 1),
-                        {this, kTrafficTag, index + 1, 0});
-  }
-}
-
 void StormRun::on_delivery(const sim::Packet& packet, TimePs delivered, TimePs latency) {
   mix_digest(delivery_digest_, packet.id);
   mix_digest(delivery_digest_, static_cast<std::uint64_t>(delivered));
@@ -266,7 +250,7 @@ void StormRun::save(snapshot::Writer& w) const {
     w.put_i64(d.latency);
     w.put_i32(d.hops);
   }
-  w.put_rng(traffic_rng_);
+  traffic_->save(w);
   w.end_chunk();
 
   w.begin_chunk(snapshot::chunk_id("FLTS"));
@@ -323,7 +307,7 @@ void StormRun::restore(snapshot::Reader& r) {
     d.hops = r.get_i32();
     deliveries_.push_back(d);
   }
-  r.get_rng(traffic_rng_);
+  traffic_->restore(r);
   r.close_chunk();
 
   r.open_chunk(snapshot::chunk_id("FLTS"));

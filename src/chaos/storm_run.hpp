@@ -1,10 +1,7 @@
 // One chaos storm as a checkpointable object.
 //
-// run_storm() used to be a single function that built a fabric,
-// scheduled twenty thousand workload closures, ran to the end and
-// harvested a report.  Closures cannot be serialized, so that shape
-// could never survive a checkpoint.  StormRun splits the storm into
-// the phases a crash-recovery drill needs to interleave:
+// StormRun splits a storm into the phases a crash-recovery drill needs
+// to interleave:
 //
 //   StormRun run(params);   // build everything structural (topology,
 //                           // network, monitor, probes, scheduler)
@@ -17,9 +14,9 @@
 //                           // already holds every pending event
 //   resumed.finish();       // drain + judge invariants
 //
-// The workload is a self-chained timer (one TimerEvent per packet
-// cadence tick) rather than a pre-scheduled closure per packet, and
-// the run keeps FNV-1a digests over its delivery and drop streams —
+// The workload is a sim::RandomPairSource (one self-chained timer for
+// the whole packet schedule), and the run keeps FNV-1a digests over
+// its delivery and drop streams —
 // the bit-exactness oracle: a run restored from a checkpoint at any
 // event boundary must finish with digests identical to the
 // uninterrupted run.
@@ -38,12 +35,13 @@
 #include "sim/fluid.hpp"
 #include "sim/network.hpp"
 #include "sim/probes.hpp"
+#include "sim/workloads.hpp"
 #include "telemetry/sink.hpp"
 #include "topo/builders.hpp"
 
 namespace quartz::chaos {
 
-class StormRun final : public sim::TimerHandler, public telemetry::TelemetrySink {
+class StormRun final : public telemetry::TelemetrySink {
  public:
   explicit StormRun(const StormParams& params);
   StormRun(const StormRun&) = delete;
@@ -85,9 +83,6 @@ class StormRun final : public sim::TimerHandler, public telemetry::TelemetrySink
     int hops = 0;
   };
 
-  static constexpr std::uint32_t kTrafficTag = 1;
-
-  void on_timer(const sim::TimerEvent& event) override;
   void on_delivery(const sim::Packet& packet, TimePs delivered, TimePs latency) override;
   void on_drop(const sim::Packet& packet, telemetry::DropReason reason, TimePs when) override;
 
@@ -110,8 +105,8 @@ class StormRun final : public sim::TimerHandler, public telemetry::TelemetrySink
   /// Constructed after net_ so its bias vector attaches to a live
   /// network and detaches before the network dies.
   std::unique_ptr<sim::FluidBackground> fluid_;
-  Rng traffic_rng_;
   int task_ = -1;
+  std::unique_ptr<sim::RandomPairSource> traffic_;
   bool armed_ = false;
 
   std::vector<Delivery> deliveries_;

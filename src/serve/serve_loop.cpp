@@ -31,6 +31,7 @@ ServeLoop::ServeLoop(ServeConfig config)
       oracle_(std::make_unique<routing::PinnedDetourOracle>(*routing_, topo_.quartz_rings)),
       fib_(std::make_unique<routing::Fib>(*routing_, *oracle_)),
       network_(std::make_unique<sim::Network>(topo_, *oracle_, config_.sim)),
+      faults_(*network_),
       admission_(config_.admission, static_cast<int>(classes_.size())),
       slo_(config_.slo),
       retry_budget_(config_.retry_budget),
@@ -76,10 +77,9 @@ ServeLoop::ServeLoop(ServeConfig config)
   network_->set_fib(fib_.get());
 
   // Request delivery at the server: reply after the service time (a
-  // kReplyTag timer packing server and client ids — checkpointable,
-  // unlike a closure).  The server answers every (re)transmission it
-  // sees — duplicate replies for a retried call are ignored at the
-  // client by the outstanding table.
+  // kReplyTag timer packing server and client ids).  The server answers
+  // every (re)transmission it sees — duplicate replies for a retried
+  // call are ignored at the client by the outstanding table.
   request_task_ = network_->new_task([this](const sim::Packet& p, TimePs) {
     const auto server = static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.key.dst));
     const auto client = static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.key.src));
@@ -421,6 +421,7 @@ void ServeLoop::save_snapshot(snapshot::Writer& w) const {
   QUARTZ_REQUIRE(started_, "save requires a started ServeLoop");
   sim::HandlerMap handlers;
   handlers.timers.push_back(const_cast<ServeLoop*>(this));
+  handlers.timers.push_back(const_cast<sim::FaultScheduler*>(&faults_));
 
   // Config echo: restore refuses a snapshot from a different service.
   w.begin_chunk(snapshot::chunk_id("SRVC"));
@@ -502,6 +503,10 @@ void ServeLoop::save_snapshot(snapshot::Writer& w) const {
   oracle_->save(w);
   w.end_chunk();
 
+  w.begin_chunk(snapshot::chunk_id("FLTS"));
+  faults_.save(w);
+  w.end_chunk();
+
   // The network chunk (embedding the engine) goes last, mirroring the
   // restore order: components first, then the events pointing at them.
   w.begin_chunk(snapshot::chunk_id("NETW"));
@@ -515,6 +520,7 @@ void ServeLoop::restore_snapshot(snapshot::Reader& r) {
   restored_ = true;
   sim::HandlerMap handlers;
   handlers.timers.push_back(this);
+  handlers.timers.push_back(&faults_);
 
   r.open_chunk(snapshot::chunk_id("SRVC"));
   QUARTZ_REQUIRE(r.get_u64() == config_.seed && r.get_i64() == config_.duration &&
@@ -596,6 +602,10 @@ void ServeLoop::restore_snapshot(snapshot::Reader& r) {
 
   r.open_chunk(snapshot::chunk_id("ORCL"));
   oracle_->restore(r);
+  r.close_chunk();
+
+  r.open_chunk(snapshot::chunk_id("FLTS"));
+  faults_.restore(r);
   r.close_chunk();
 
   r.open_chunk(snapshot::chunk_id("NETW"));

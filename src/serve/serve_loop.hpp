@@ -37,6 +37,7 @@
 #include "routing/fib.hpp"
 #include "routing/oracle.hpp"
 #include "serve/admission.hpp"
+#include "sim/fault_injection.hpp"
 #include "sim/network.hpp"
 #include "sim/retry_budget.hpp"
 #include "telemetry/metrics.hpp"
@@ -151,9 +152,10 @@ class ServeLoop : public sim::TimerHandler {
   ServeLoop(const ServeLoop&) = delete;
   ServeLoop& operator=(const ServeLoop&) = delete;
 
-  /// The live simulation — schedule chaos (fail_link / set_link_loss)
-  /// against it between construction and run().
   sim::Network& network() { return *network_; }
+  /// Script chaos here between construction and start(); snapshots
+  /// carry it, so a restored loop already holds its script.
+  sim::FaultScheduler& faults() { return faults_; }
   const topo::BuiltTopology& topology() const { return topo_; }
   routing::PinnedDetourOracle& oracle() { return *oracle_; }
   const AdmissionController& admission() const { return admission_; }
@@ -231,8 +233,7 @@ class ServeLoop : public sim::TimerHandler {
     bool holding_retry_slot = false;
   };
 
-  /// Everything the loop schedules is a typed timer (checkpointable),
-  /// never a closure.  `a`/`b` carry the operands noted per tag.
+  /// `a`/`b` carry the operands noted per tag.
   enum TimerTag : std::uint32_t {
     kArrivalTag = 1,     ///< next Poisson arrival (self-chained)
     kReplayTag = 2,      ///< replay arrival; a = trace index
@@ -267,6 +268,7 @@ class ServeLoop : public sim::TimerHandler {
   std::unique_ptr<routing::PinnedDetourOracle> oracle_;
   std::unique_ptr<routing::Fib> fib_;
   std::unique_ptr<sim::Network> network_;
+  sim::FaultScheduler faults_;
   AdmissionController admission_;
   telemetry::SloTracker slo_;
   sim::RetryBudget retry_budget_;

@@ -42,9 +42,6 @@ Packet restore_packet(snapshot::Reader& r) {
 }  // namespace
 
 void EventQueue::save(snapshot::Writer& w, const HandlerMap& handlers) const {
-  QUARTZ_REQUIRE(!has_pending_callbacks(),
-                 "pending std::function callback events cannot be checkpointed; "
-                 "schedule through timers (kTimer) instead");
   // Collect every pending entry from all three tiers.  Sorting by seq
   // makes the snapshot bytes independent of tier placement (and the
   // restore path's re-push order deterministic).
@@ -104,8 +101,6 @@ void EventQueue::save(snapshot::Writer& w, const HandlerMap& handlers) const {
         w.put_u64(ev.b);
         break;
       }
-      case EventType::kCallback:
-        QUARTZ_CHECK(false, "unreachable: callbacks rejected above");
     }
   }
 }
@@ -175,8 +170,8 @@ void EventQueue::restore(snapshot::Reader& r, const HandlerMap& handlers) {
         push_entry_at(time, stamp, seq, type, slot);
         break;
       }
-      case EventType::kCallback:
-        QUARTZ_REQUIRE(false, "snapshot contains a callback event");
+      default:  // unknown payload length: every later entry would be misread
+        QUARTZ_REQUIRE(false, "snapshot entry has an unknown event type");
     }
   }
   next_seq_ = next_seq;

@@ -17,9 +17,9 @@
 // probe) in per-type slot pools with free-list recycling: once the
 // pools have grown to the high-water mark of in-flight events, a
 // steady-state simulation schedules and runs events with zero heap
-// allocations.  A generic std::function fallback (kCallback) remains
-// for workload generators and tests; its slots are pooled too, and
-// small captures ride the function's inline buffer.
+// allocations.  Control-plane work (workload arrivals, fault scripts,
+// serve-loop timeouts) schedules typed timers too: every pending event
+// is plain data, so the whole pending set is checkpointable.
 //
 // The pending set is a two-tier calendar: a small exact (time, seq)
 // min-heap for the active ~4 ns window, unsorted FIFO buckets for the
@@ -36,7 +36,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -51,17 +50,16 @@ class Reader;
 
 namespace quartz::sim {
 
-/// The closed set of event types the engine understands.  Everything
-/// the packet hot path needs is typed; kCallback is the escape hatch
-/// for control-plane logic (workload arrivals, fault scripts, tests).
+/// The closed set of event types the engine understands.  The packet
+/// hot path has its own types; control-plane logic (workload arrivals,
+/// fault scripts, tests) rides kTimer.
 enum class EventType : std::uint8_t {
   kHeaderDecision,    ///< forwarding decision ready; put packet on its next line
   kTransmitComplete,  ///< packet head reached the far end of a link
   kDelivery,          ///< last bit + host receive overhead at the destination
   kFaultTransition,   ///< delayed routing-plane detection of a link state flip
   kProbe,             ///< probe-plane fire / probe-result
-  kTimer,             ///< typed control-plane timer (checkpointable)
-  kCallback,          ///< generic std::function fallback (NOT checkpointable)
+  kTimer,             ///< typed control-plane timer
 };
 
 /// Payload of the packet-carrying event types.  The two times mean,
@@ -103,13 +101,12 @@ struct ProbeEvent {
 
 class TimerHandler;
 
-/// Payload of kTimer: the checkpointable control-plane event.  Unlike
-/// kCallback (whose std::function closure cannot be serialized), a
-/// timer is pure data — a handler, a dispatch tag and two integer
-/// operands — so pending timers survive snapshot/restore.  Every
-/// component that wants its scheduling to be checkpointable (fault
-/// scripts, workload arrival chains, serve-loop timeouts) encodes its
-/// state machine in (tag, a, b) and implements TimerHandler.
+/// Payload of kTimer: the control-plane event.  A timer is pure data —
+/// a handler, a dispatch tag and two integer operands — so pending
+/// timers survive snapshot/restore.  Every component that schedules
+/// work (fault scripts, workload arrival chains, serve-loop timeouts)
+/// encodes its state machine in (tag, a, b) and implements
+/// TimerHandler.
 struct TimerEvent {
   TimerHandler* handler = nullptr;
   std::uint32_t tag = 0;  ///< handler-private dispatch discriminator
@@ -190,12 +187,6 @@ class SlotPool {
   const T& operator[](std::uint32_t slot) const { return slots_[slot]; }
   /// Slots ever created (the high-water mark of in-flight events).
   std::size_t capacity() const { return slots_.size(); }
-  std::size_t in_use() const { return slots_.size() - free_.size(); }
-  /// Drop every slot (restore repopulates a fresh pool).
-  void clear() {
-    slots_.clear();
-    free_.clear();
-  }
 
  private:
   std::vector<T> slots_;
@@ -204,23 +195,9 @@ class SlotPool {
 
 class EventQueue {
  public:
-  using Action = std::function<void()>;
-
-  EventQueue() = default;
-  explicit EventQueue(EventHandler* handler) : handler_(handler) {}
-
   /// Attach the receiver of typed packet/fault events.  Must be set
   /// before the first typed event is scheduled.
   void set_handler(EventHandler* handler) { handler_ = handler; }
-
-  /// Generic fallback: schedule an arbitrary callback.  The function
-  /// object lives in a recycled slot; captures within the std::function
-  /// inline buffer (two pointers on mainstream ABIs) never allocate.
-  void schedule(TimePs when, Action action) {
-    const std::uint32_t slot = callbacks_.acquire();
-    callbacks_[slot] = std::move(action);
-    push_entry(when, EventType::kCallback, slot);
-  }
 
   /// `stamp` is the (time, stamp, seq) tie-breaker; 0 (the default)
   /// preserves pure scheduling order, non-zero values give same-time
@@ -335,27 +312,21 @@ class EventQueue {
   /// Total events dispatched so far (all types).
   std::uint64_t events_run() const { return events_run_; }
 
-  /// True while any pending event is a kCallback closure.  Closures
-  /// cannot be serialized; save() refuses while one is pending, and
-  /// checkpointable harnesses schedule through timers instead.
-  bool has_pending_callbacks() const { return callbacks_.in_use() != 0; }
-
   /// Serialize now(), the sequence counters and every pending event
   /// (with its exact (time, seq) ordering key) in seq order.  Handler
-  /// pointers are written as HandlerMap indices.  Refuses pending
-  /// kCallback events.
+  /// pointers are written as HandlerMap indices.
   void save(snapshot::Writer& w, const HandlerMap& handlers) const;
 
   /// Rebuild the pending set into this freshly constructed engine.
   /// Every entry is re-pushed with its saved (time, seq) key, so the
   /// dispatch order — and therefore the simulation — continues
-  /// bit-exactly.
+  /// bit-exactly.  An entry with an unknown event-type byte throws
+  /// std::invalid_argument.
   void restore(snapshot::Reader& r, const HandlerMap& handlers);
 
   // Pool high-water marks, for the zero-allocation regression tests and
   // bench_engine: once these plateau, scheduling stops allocating.
   std::size_t packet_pool_capacity() const { return packets_.capacity(); }
-  std::size_t callback_pool_capacity() const { return callbacks_.capacity(); }
   std::size_t fault_pool_capacity() const { return faults_.capacity(); }
   std::size_t probe_pool_capacity() const { return probes_.capacity(); }
   std::size_t timer_pool_capacity() const { return timers_.capacity(); }
@@ -540,14 +511,6 @@ class EventQueue {
         event.handler->on_timer(event);
         return;
       }
-      case EventType::kCallback: {
-        // Move the action out first: the slot may be reacquired by a
-        // schedule() the action itself performs.
-        Action action = std::move(callbacks_[entry.slot]);
-        callbacks_.release(entry.slot);
-        action();
-        return;
-      }
     }
     QUARTZ_CHECK(false, "unknown event type");
   }
@@ -563,7 +526,6 @@ class EventQueue {
   SlotPool<FaultEvent> faults_;
   SlotPool<ProbeEvent> probes_;
   SlotPool<TimerEvent> timers_;
-  SlotPool<Action> callbacks_;
   EventHandler* handler_ = nullptr;
   TimePs now_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -11,8 +11,8 @@
 // lightpaths afterwards.
 //
 // Like the workload generators, a FaultScheduler is pinned in memory
-// once timelines are scheduled (events capture `this`); it is neither
-// copyable nor movable.
+// once timelines are scheduled (its pending timers point back at it);
+// it is neither copyable nor movable.
 #pragma once
 
 #include <cstdint>
@@ -109,10 +109,9 @@ class FaultScheduler : public TimerHandler {
   void restore(snapshot::Reader& r);
 
  private:
-  /// Timelines are scheduled as typed timer events (checkpointable),
-  /// never as closures.  A scripted fail/repair/degrade/restore stores
-  /// its operand bundle in actions_ and passes the index through the
-  /// timer's `a`; the Poisson chain passes the link id directly.
+  /// A scripted fail/repair/degrade/restore stores its operand bundle
+  /// in actions_ and passes the index through the timer's `a`; the
+  /// Poisson chain passes the link id directly.
   enum TimerTag : std::uint32_t {
     kScriptTag = 1,
     kPoissonFailTag = 2,

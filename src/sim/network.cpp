@@ -301,7 +301,6 @@ void Network::on_packet_event(EventType type, PacketEvent& event) {
 void Network::arrive(Packet packet, topo::NodeId node, TimePs first_bit, TimePs last_bit) {
   const topo::Graph& graph = topo_->graph;
   QUARTZ_CHECK(owns_node(node), "packet arrived at a node this shard does not own");
-  for (const ArrivalHook& hook : arrival_hooks_) hook(packet, node, first_bit);
   if (stream_ != nullptr) stream_->on_arrival(packet, node, first_bit, last_bit);
   for (TelemetrySink* sink : sinks_) sink->on_arrival(packet, node, first_bit, last_bit);
 

@@ -79,11 +79,6 @@ using DeliveryHandler = std::function<void(const Packet&, TimePs latency)>;
 /// Called on every drop with the packet and the reason.
 using DropHandler = std::function<void(const Packet&, DropReason)>;
 
-/// Called on every node arrival (hosts and switches) with the packet,
-/// the node reached, and the first-bit arrival time.  For tracing and
-/// route-conformance checks; adds a branch per hop, nothing more.
-using ArrivalHook = std::function<void(const Packet&, topo::NodeId node, TimePs first_bit)>;
-
 /// How one Network participates in a sharded run (sim/sharded.hpp).
 /// The bound network restricts itself to the nodes it owns, stamps
 /// every packet event with shard_stamp(packet.id), allocates packet
@@ -118,10 +113,6 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
           SimConfig config = {});
 
   TimePs now() const { return events_.now(); }
-  void at(TimePs when, EventQueue::Action action) { events_.schedule(when, std::move(action)); }
-  void after(TimePs delay, EventQueue::Action action) {
-    events_.schedule(now() + delay, std::move(action));
-  }
 
   /// Register a traffic class; the handler (may be empty) fires on each
   /// delivery of a packet sent with the returned task id.
@@ -145,20 +136,12 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   void set_stream_sink(telemetry::BinaryStreamSink* sink);
   telemetry::BinaryStreamSink* stream_sink() const { return stream_; }
 
-  /// Add a tracing hook observing every node arrival.  Hooks accumulate:
-  /// each registered hook fires on every arrival, so independent
-  /// observers never displace one another.
-  void add_arrival_hook(ArrivalHook hook) { arrival_hooks_.push_back(std::move(hook)); }
-  [[deprecated("use add_arrival_hook")]] void set_arrival_hook(ArrivalHook hook) {
-    add_arrival_hook(std::move(hook));
-  }
-
-  /// Add a hook observing every drop (with its reason).  Accumulates
-  /// like add_arrival_hook.
+  /// Add a hook observing every drop (with its reason); hooks
+  /// accumulate.  Every other observer is a TelemetrySink; this hook
+  /// stays for ShardedStormRun, whose drop counter as a sink gave the
+  /// same digest but cost storm_sharded about 10% of its packets/s
+  /// under heavy host drift (medians; slower in 11 of 18 pairs).
   void add_drop_hook(DropHandler hook) { drop_hooks_.push_back(std::move(hook)); }
-  [[deprecated("use add_drop_hook")]] void set_drop_hook(DropHandler hook) {
-    add_drop_hook(std::move(hook));
-  }
 
   /// Inject a packet now.  `flow_id` identifies the flow for ECMP/VLB
   /// hashing (packets of one flow share a path); `tag` is carried
@@ -214,8 +197,8 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
     events_.schedule_probe(when, event);
   }
 
-  /// Schedule a typed timer event — the checkpointable alternative to
-  /// at()/after() closures (see TimerEvent).
+  /// Schedule a typed timer event: the one way control-plane logic
+  /// schedules work (see TimerEvent).
   void schedule_timer(TimePs when, const TimerEvent& event) {
     events_.schedule_timer(when, event);
   }
@@ -242,8 +225,8 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
 
   // --- live fault injection (§3.5 made dynamic) ------------------------------
   //
-  // fail_link/repair_link flip the *physical* state immediately (call
-  // them via at()/after() to script a timeline, or use FaultScheduler).
+  // fail_link/repair_link flip the *physical* state immediately (script
+  // a timeline with FaultScheduler, or call them from a timer handler).
   // Packets in flight on a failing link are dropped; transmit attempts
   // onto a dead link are dropped and counted as kLinkDown.  The routing
   // plane's FailureView is updated `failure_detection_delay` later.
@@ -384,7 +367,6 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   Rng loss_rng_;
   routing::FailureView failure_view_;
   std::vector<DeliveryHandler> handlers_;
-  std::vector<ArrivalHook> arrival_hooks_;
   std::vector<DropHandler> drop_hooks_;
   std::vector<TelemetrySink*> sinks_;
   telemetry::BinaryStreamSink* stream_ = nullptr;

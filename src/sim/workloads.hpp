@@ -9,10 +9,12 @@
 //  * RpcWorkload — serial request/response pairs measuring RTT (the §6
 //    prototype's Thrift "Hello World" RPC); and
 //  * BurstSource — Nuttcp-style bursts of packets separated by idle
-//    intervals chosen to hit a target bandwidth (§6.1 cross-traffic).
+//    intervals chosen to hit a target bandwidth (§6.1 cross-traffic); and
+//  * RandomPairSource — one packet per tick between uniformly random
+//    host pairs (the fault drills' and chaos storms' background load).
 //
-// Generators are pinned in memory once started (events capture `this`);
-// they are neither copyable nor movable.
+// Generators are pinned in memory once started (their pending timers
+// point back at them); they are neither copyable nor movable.
 #pragma once
 
 #include <memory>
@@ -33,7 +35,7 @@ struct FlowParams {
   TimePs stop = seconds(1);
 };
 
-class PoissonFlow {
+class PoissonFlow final : public TimerHandler {
  public:
   /// Sends with the given task id; register the task (and its
   /// measurement handler) on the network first.
@@ -45,7 +47,7 @@ class PoissonFlow {
   std::uint64_t packets_sent() const { return sent_; }
 
  private:
-  void schedule_next();
+  void on_timer(const TimerEvent& event) override;
 
   Network& network_;
   topo::NodeId src_, dst_;
@@ -115,7 +117,7 @@ struct ScatterGatherParams {
 /// every participant, and each participant replies upon receipt.  Both
 /// directions' packets are measured (the paper reports latency per
 /// packet for the combined operation).
-class ScatterGatherTask {
+class ScatterGatherTask final : public TimerHandler {
  public:
   ScatterGatherTask(Network& network, topo::NodeId initiator,
                     std::vector<topo::NodeId> participants, ScatterGatherParams params, Rng rng);
@@ -127,7 +129,7 @@ class ScatterGatherTask {
   void publish_metrics(telemetry::MetricRegistry& registry, const std::string& prefix) const;
 
  private:
-  void schedule_round();
+  void on_timer(const TimerEvent& event) override;
 
   Network& network_;
   topo::NodeId initiator_;
@@ -175,7 +177,7 @@ struct RpcParams {
 /// measure its goodput and recovery-time percentiles across cuts.
 /// Retransmitted requests and stale replies are matched by a per-call
 /// sequence number carried in the packet tag.
-class RpcWorkload {
+class RpcWorkload final : public TimerHandler {
  public:
   RpcWorkload(Network& network, topo::NodeId client, topo::NodeId server, RpcParams params,
               Rng rng);
@@ -200,6 +202,15 @@ class RpcWorkload {
   void publish_metrics(telemetry::MetricRegistry& registry, const std::string& prefix) const;
 
  private:
+  /// `a`/`b` carry the operands noted per tag.
+  enum TimerTag : std::uint32_t {
+    kIssueTag = 1,    ///< start the first call
+    kReplyTag = 2,    ///< server reply after the service time; a = call tag
+    kTimeoutTag = 3,  ///< client timeout; a = call seq, b = attempt
+    kBackoffTag = 4,  ///< retransmit after backoff; a = call seq
+  };
+
+  void on_timer(const TimerEvent& event) override;
   void issue();
   void send_attempt();
   void abandon_call();
@@ -234,7 +245,7 @@ struct TransferParams {
 /// A bulk transfer: the whole flow is handed to the NIC at `start` and
 /// drains at line rate (the paper's MapReduce-style background flows).
 /// Records the flow completion time — when the last packet lands.
-class FlowTransfer {
+class FlowTransfer final : public TimerHandler {
  public:
   FlowTransfer(Network& network, topo::NodeId src, topo::NodeId dst, TransferParams params,
                std::uint64_t flow_id);
@@ -247,6 +258,12 @@ class FlowTransfer {
   TimePs completion_time() const;
 
  private:
+  void on_timer(const TimerEvent& event) override;
+
+  Network& network_;
+  topo::NodeId src_, dst_;
+  std::uint64_t flow_id_;
+  int task_ = -1;
   TransferParams params_;
   int packets_ = 0;
   int delivered_ = 0;
@@ -264,7 +281,7 @@ struct BurstParams {
 /// Bursts of back-to-back packets separated by idle gaps sized to meet
 /// the target average bandwidth; bursts from different sources are
 /// unsynchronised via a random phase.
-class BurstSource {
+class BurstSource final : public TimerHandler {
  public:
   BurstSource(Network& network, topo::NodeId src, topo::NodeId dst, int task, BurstParams params,
               Rng rng);
@@ -272,7 +289,7 @@ class BurstSource {
   BurstSource& operator=(const BurstSource&) = delete;
 
  private:
-  void fire();
+  void on_timer(const TimerEvent& event) override;
 
   Network& network_;
   topo::NodeId src_, dst_;
@@ -281,6 +298,36 @@ class BurstSource {
   Rng rng_;
   std::uint64_t flow_id_;
   TimePs interval_;
+};
+
+/// `packets` packets, packet i at i * gap, each between two distinct
+/// hosts on its own flow: per packet it draws the source, the
+/// destination (redrawn until it differs) and the flow id.  One
+/// self-chained timer (a = packet index) carries the schedule, so
+/// save()/restore() carry only the RNG stream.
+class RandomPairSource final : public TimerHandler {
+ public:
+  RandomPairSource(Network& network, int task, Bits packet_size, TimePs gap,
+                   std::uint64_t packets, Rng rng);
+  RandomPairSource(const RandomPairSource&) = delete;
+  RandomPairSource& operator=(const RandomPairSource&) = delete;
+
+  /// Schedule the first packet.  Call once, before the run; a run
+  /// restored from a snapshot already holds the pending timer.
+  void arm();
+
+  void save(snapshot::Writer& w) const;
+  void restore(snapshot::Reader& r);
+
+ private:
+  void on_timer(const TimerEvent& event) override;
+
+  Network& network_;
+  int task_;
+  Bits packet_size_;
+  TimePs gap_;
+  std::uint64_t packets_;
+  Rng rng_;
 };
 
 }  // namespace quartz::sim

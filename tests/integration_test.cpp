@@ -167,16 +167,9 @@ TEST(Integration, DualTorTwoSwitchPaths) {
         EXPECT_GE(p.hops, 1);
         samples.add(to_microseconds(l));
       });
-  Rng rng(41);
-  for (int i = 0; i < 200; ++i) {
-    // Spread sends out so queueing does not blur the hop-count check.
-    net.at(microseconds(5) * i, [&net, &rng, &t, task] {
-      const auto src = t.hosts[rng.next_below(t.hosts.size())];
-      auto dst = t.hosts[rng.next_below(t.hosts.size())];
-      while (dst == src) dst = t.hosts[rng.next_below(t.hosts.size())];
-      net.send(src, dst, bytes(400), task, rng.next_u64());
-    });
-  }
+  // Spread sends out so queueing does not blur the hop-count check.
+  sim::RandomPairSource source(net, task, bytes(400), microseconds(5), 200, Rng(41));
+  source.arm();
   net.run_until(milliseconds(10));
   EXPECT_EQ(samples.count(), 200u);
   EXPECT_LT(samples.max(), 3.0);  // two ULL hops + serialization

@@ -163,7 +163,7 @@ TEST(ServeLoopTest, RegroomRejectsPinsOverDeadDetourLegs) {
   const auto& ring = loop.topology().quartz_rings.front();
   const topo::LinkId leg = mesh_link_between(loop.topology(), ring[0], ring[2]);
   ASSERT_NE(leg, topo::kInvalidLink);
-  loop.network().at(microseconds(500), [&loop, leg] { loop.network().fail_link(leg); });
+  loop.faults().schedule_cut(microseconds(500), {leg});
 
   const ServeReport report = loop.run();
   EXPECT_EQ(report.reconfigurations, 1u);

@@ -163,9 +163,8 @@ DigestResult run_storm_digest(std::uint64_t seed, bool use_fib) {
   for (const auto& link : topo.graph.links()) {
     if (topo.graph.is_switch(link.a) && topo.graph.is_switch(link.b)) gray = link.id;
   }
-  net.at(milliseconds(2), [&net, gray] { net.set_link_loss(gray, 0.3); });
-  net.at(milliseconds(14), [&net, gray] { net.set_link_loss(gray, 0.0); });
   FaultScheduler faults(net);
+  faults.schedule_transceiver_aging(milliseconds(2), gray, 0.3, milliseconds(14));
   faults.schedule_fiber_cut(milliseconds(4), {0, 0}, milliseconds(9));
   faults.schedule_fiber_cut(milliseconds(7), {0, 2}, milliseconds(15));
   net.run_until(milliseconds(20));

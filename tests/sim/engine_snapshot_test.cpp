@@ -1,9 +1,9 @@
 // Checkpoint/restore of the event engine itself: pending typed events
 // survive a save into a fresh engine with their exact (time, seq)
-// dispatch order, and the non-serializable callback escape hatch is
-// refused up front.
+// dispatch order, and restore refuses entries it cannot parse.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <tuple>
@@ -38,16 +38,36 @@ class RecordingHandler final : public TimerHandler {
   EventQueue& q_;
 };
 
-snapshot::Reader saved(const EventQueue& q, const HandlerMap& handlers) {
+/// The bytes EventQueue::save writes.
+std::vector<std::uint8_t> engine_payload(const EventQueue& q, const HandlerMap& handlers) {
   snapshot::Writer w;
   w.begin_chunk(snapshot::chunk_id("ENGN"));
   q.save(w, handlers);
+  w.end_chunk();
+  // Chunk header: id (4 bytes), CRC (4), little-endian payload size (8).
+  const std::vector<std::byte>& raw = w.buffer();
+  std::size_t size = 0;
+  for (int i = 0; i < 8; ++i) size |= std::to_integer<std::size_t>(raw[8 + i]) << (8 * i);
+  std::vector<std::uint8_t> payload;
+  for (std::size_t i = 0; i < size; ++i) payload.push_back(std::to_integer<std::uint8_t>(raw[16 + i]));
+  return payload;
+}
+
+/// A reader positioned inside an ENGN chunk holding `payload`.
+snapshot::Reader engine_chunk(const std::vector<std::uint8_t>& payload) {
+  snapshot::Writer w;
+  w.begin_chunk(snapshot::chunk_id("ENGN"));
+  for (const std::uint8_t b : payload) w.put_u8(b);
   w.end_chunk();
   std::string error;
   auto reader = snapshot::Reader::from_bytes(snapshot::file_bytes(w, 0), &error);
   EXPECT_TRUE(reader.has_value()) << error;
   reader->open_chunk(snapshot::chunk_id("ENGN"));
   return std::move(*reader);
+}
+
+snapshot::Reader saved(const EventQueue& q, const HandlerMap& handlers) {
+  return engine_chunk(engine_payload(q, handlers));
 }
 
 TEST(EngineSnapshot, TimersSurviveWithExactOrder) {
@@ -84,12 +104,29 @@ TEST(EngineSnapshot, TimersSurviveWithExactOrder) {
   EXPECT_EQ(restored.events_run(), q.events_run());
 }
 
-TEST(EngineSnapshot, RefusesPendingCallbacks) {
+TEST(EngineSnapshot, UnknownEventTypeIsRejectedAtRestore) {
   EventQueue q;
-  q.schedule(5, [] {});
-  snapshot::Writer w;
-  w.begin_chunk(snapshot::chunk_id("ENGN"));
-  EXPECT_THROW(q.save(w, HandlerMap{}), std::invalid_argument);
+  RecordingHandler handler(q);
+  HandlerMap handlers;
+  handlers.timers.push_back(&handler);
+  q.schedule_timer(10, {&handler, 1, 0, 0});
+  const std::vector<std::uint8_t> payload = engine_payload(q, handlers);
+  // now, next seq, events run and the entry count, then the entry's
+  // time, stamp and seq (8 bytes each) precede its type byte.
+  constexpr std::size_t kTypeByte = 7 * 8;
+  ASSERT_GT(payload.size(), kTypeByte);
+  ASSERT_EQ(payload[kTypeByte], static_cast<std::uint8_t>(EventType::kTimer));
+  // 6 is the retired closure type; 0xFF was never a type.
+  for (const std::uint8_t type : {std::uint8_t{6}, std::uint8_t{0xFF}}) {
+    std::vector<std::uint8_t> patched = payload;
+    patched[kTypeByte] = type;
+    auto reader = engine_chunk(patched);
+    EventQueue restored;
+    RecordingHandler handler2(restored);
+    HandlerMap handlers2;
+    handlers2.timers.push_back(&handler2);
+    EXPECT_THROW(restored.restore(reader, handlers2), std::invalid_argument) << int{type};
+  }
 }
 
 TEST(EngineSnapshot, RefusesRestoreIntoUsedEngine) {

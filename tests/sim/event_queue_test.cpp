@@ -7,60 +7,77 @@
 namespace quartz::sim {
 namespace {
 
+/// Records the operand `a` of every timer it receives, in dispatch
+/// order; with `chain` set, each firing schedules the next one 10 ps
+/// later until `chain` timers have fired.
+class TimerRecorder final : public TimerHandler {
+ public:
+  explicit TimerRecorder(EventQueue& queue, std::uint64_t chain = 0)
+      : queue_(queue), chain_(chain) {}
+
+  void on_timer(const TimerEvent& event) override {
+    fired.push_back(event.a);
+    if (fired.size() < chain_) queue_.schedule_timer(queue_.now() + 10, {this, 0, event.a + 1, 0});
+  }
+
+  std::vector<std::uint64_t> fired;
+
+ private:
+  EventQueue& queue_;
+  std::uint64_t chain_;
+};
+
 TEST(EventQueue, RunsInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.schedule(30, [&] { order.push_back(3); });
-  q.schedule(10, [&] { order.push_back(1); });
-  q.schedule(20, [&] { order.push_back(2); });
+  TimerRecorder timers(q);
+  q.schedule_timer(30, {&timers, 0, 3, 0});
+  q.schedule_timer(10, {&timers, 0, 1, 0});
+  q.schedule_timer(20, {&timers, 0, 2, 0});
   q.run_until(100);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(timers.fired, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(q.now(), 100);
 }
 
 TEST(EventQueue, TiesBreakByScheduleOrder) {
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule(5, [&order, i] { order.push_back(i); });
-  }
+  TimerRecorder timers(q);
+  for (std::uint64_t i = 0; i < 10; ++i) q.schedule_timer(5, {&timers, 0, i, 0});
   q.run_until(5);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  ASSERT_EQ(timers.fired.size(), 10u);
+  for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(timers.fired[i], i);
 }
 
 TEST(EventQueue, EventsMayScheduleMoreEvents) {
   EventQueue q;
-  int fired = 0;
-  std::function<void()> chain = [&] {
-    ++fired;
-    if (fired < 5) q.schedule(q.now() + 10, chain);
-  };
-  q.schedule(0, chain);
+  TimerRecorder timers(q, 5);
+  q.schedule_timer(0, {&timers, 0, 0, 0});
   q.run_until(1000);
-  EXPECT_EQ(fired, 5);
+  EXPECT_EQ(timers.fired, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, RunUntilStopsAtBoundary) {
   EventQueue q;
-  int fired = 0;
-  q.schedule(10, [&] { ++fired; });
-  q.schedule(20, [&] { ++fired; });
+  TimerRecorder timers(q);
+  q.schedule_timer(10, {&timers, 0, 0, 0});
+  q.schedule_timer(20, {&timers, 0, 0, 0});
   q.run_until(15);
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(timers.fired.size(), 1u);
   EXPECT_EQ(q.now(), 15);
   q.run_until(20);  // boundary inclusive
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(timers.fired.size(), 2u);
 }
 
 TEST(EventQueue, CannotScheduleIntoThePast) {
   EventQueue q;
+  TimerRecorder timers(q);
   q.run_until(100);
-  EXPECT_THROW(q.schedule(50, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_timer(50, {&timers, 0, 0, 0}), std::invalid_argument);
 }
 
 TEST(EventQueue, RunOneAdvancesClock) {
   EventQueue q;
-  q.schedule(42, [] {});
+  TimerRecorder timers(q);
+  q.schedule_timer(42, {&timers, 0, 0, 0});
   EXPECT_EQ(q.next_time(), 42);
   q.run_one();
   EXPECT_EQ(q.now(), 42);
@@ -70,8 +87,9 @@ TEST(EventQueue, RunOneAdvancesClock) {
 
 TEST(EventQueue, SizeTracksPending) {
   EventQueue q;
-  q.schedule(1, [] {});
-  q.schedule(2, [] {});
+  TimerRecorder timers(q);
+  q.schedule_timer(1, {&timers, 0, 0, 0});
+  q.schedule_timer(2, {&timers, 0, 0, 0});
   EXPECT_EQ(q.size(), 2u);
   q.run_one();
   EXPECT_EQ(q.size(), 1u);
@@ -109,16 +127,16 @@ class RecordingProbeHandler : public ProbeHandler {
   std::vector<ProbeEvent> probes;
 };
 
-TEST(EventQueue, TypedEventsInterleaveWithCallbacksInTimeOrder) {
+TEST(EventQueue, TypedEventsInterleaveWithTimersInTimeOrder) {
   EventQueue q;
   RecordingHandler handler(q);
   RecordingProbeHandler probe_handler;
-  std::vector<std::string> order;
+  TimerRecorder timers(q);
 
   PacketEvent pe;
   pe.packet.id = 1;
   q.schedule_packet(30, EventType::kDelivery, pe);
-  q.schedule(10, [&order] { order.push_back("callback"); });
+  q.schedule_timer(10, {&timers, 0, 7, 0});
   q.schedule_fault(20, FaultEvent{3, 7, true});
   ProbeEvent probe;
   probe.handler = &probe_handler;
@@ -131,7 +149,7 @@ TEST(EventQueue, TypedEventsInterleaveWithCallbacksInTimeOrder) {
   EXPECT_EQ(handler.records[0].at, 20);
   EXPECT_EQ(handler.records[1].type, EventType::kDelivery);
   EXPECT_EQ(handler.records[1].at, 30);
-  EXPECT_EQ(order, (std::vector<std::string>{"callback"}));
+  EXPECT_EQ(timers.fired, (std::vector<std::uint64_t>{7}));
   ASSERT_EQ(probe_handler.probes.size(), 1u);
   EXPECT_EQ(probe_handler.probes[0].link, 5);
   EXPECT_EQ(q.events_run(), 4u);
@@ -155,7 +173,7 @@ TEST(EventQueue, SchedulePacketRejectsNonPacketTypes) {
   RecordingHandler handler(q);
   EXPECT_THROW(q.schedule_packet(1, EventType::kFaultTransition, PacketEvent{}),
                std::logic_error);
-  EXPECT_THROW(q.schedule_packet(1, EventType::kCallback, PacketEvent{}), std::logic_error);
+  EXPECT_THROW(q.schedule_packet(1, EventType::kTimer, PacketEvent{}), std::logic_error);
 }
 
 TEST(EventQueue, ProbeEventsRequireAHandler) {
@@ -233,6 +251,16 @@ TEST(EventQueue, MillionEventMixedStressKeepsTotalOrder) {
     std::uint64_t seen = 0;
   } handler;
   q.set_handler(&handler);
+  struct TimerOrderCheck final : TimerHandler {
+    void on_timer(const TimerEvent& event) override {
+      const auto at = static_cast<TimePs>(event.a);
+      EXPECT_LE(last, at);
+      last = at;
+      ++seen;
+    }
+    TimePs last = 0;
+    std::uint64_t seen = 0;
+  } timers;
 
   constexpr std::uint64_t kEvents = 1'000'000;
   std::uint64_t state = 0x243F6A8885A308D3ull;  // deterministic pseudo-times
@@ -243,8 +271,6 @@ TEST(EventQueue, MillionEventMixedStressKeepsTotalOrder) {
     return state;
   };
   std::uint64_t scheduled = 0;
-  TimePs last_callback = 0;
-  std::uint64_t callbacks = 0;
   while (scheduled < kEvents) {
     // Drain a little between bursts so the heap shrinks and regrows.
     if (scheduled % 10'000 == 0 && !q.empty()) {
@@ -268,11 +294,7 @@ TEST(EventQueue, MillionEventMixedStressKeepsTotalOrder) {
         q.schedule_fault(when, FaultEvent{1, 1, false});
         break;
       default:
-        q.schedule(when, [&handler, &last_callback, &callbacks, when] {
-          EXPECT_LE(last_callback, when);
-          last_callback = when;
-          ++callbacks;
-        });
+        q.schedule_timer(when, {&timers, 0, static_cast<std::uint64_t>(when), 0});
         break;
     }
     ++scheduled;
@@ -281,7 +303,7 @@ TEST(EventQueue, MillionEventMixedStressKeepsTotalOrder) {
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.events_run(), kEvents);
   EXPECT_GT(handler.seen, 0u);
-  EXPECT_GT(callbacks, 0u);
+  EXPECT_GT(timers.seen, 0u);
   // Pools grew to the in-flight high-water mark, not the event count.
   EXPECT_LT(q.packet_pool_capacity(), kEvents / 2);
 }

@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "core/fault.hpp"
 #include "routing/oracle.hpp"
+#include "sim/fluid.hpp"
 #include "sim/network.hpp"
 #include "sim/workloads.hpp"
 #include "topo/builders.hpp"
@@ -37,6 +38,15 @@ topo::LinkId direct_link(const topo::BuiltTopology& topo, topo::NodeId a, topo::
     if (adj.peer == b) return adj.link;
   }
   return topo::kInvalidLink;
+}
+
+/// One flow (flow id 99, stable hash) of `packets` 400-byte packets,
+/// one every `gap` from t = 0.
+CbrSource pinned_flow(Network& net, topo::NodeId src, topo::NodeId dst, int task, TimePs gap,
+                      int packets) {
+  const Bits packet = bytes(400);
+  return CbrSource(net, {{src, dst, packet * 1e12 / static_cast<double>(gap), packet}}, task, 0,
+                   gap * (packets - 1), 99);
 }
 
 TEST(FaultInjection, TransmitOntoDeadLinkIsDroppedAndCounted) {
@@ -96,7 +106,8 @@ TEST(FaultInjection, InFlightPacketDropsWhenItsLinkFails) {
   const int task = net.new_task({});
   const topo::LinkId direct = direct_link(t, t.tors[0], t.tors[1]);
   net.send(host_of(t, t.tors[0]), host_of(t, t.tors[1]), bytes(400), task, 1);
-  net.at(microseconds(10), [&net, direct] { net.fail_link(direct); });
+  FaultScheduler faults(net);
+  faults.schedule_cut(microseconds(10), {direct});
   net.run_until(milliseconds(1));
   EXPECT_EQ(net.packets_delivered(), 0u);
   EXPECT_EQ(net.packets_dropped(DropReason::kLinkDown), 1u);
@@ -138,11 +149,12 @@ TEST(FaultInjection, RapidFlapNeverAppliesStaleDetection) {
   config.failure_detection_delay = microseconds(100);
   Network net(t, oracle, config);
   const topo::LinkId direct = direct_link(t, t.tors[0], t.tors[1]);
-  net.at(0, [&] { net.fail_link(direct); });
-  net.at(microseconds(50), [&] { net.repair_link(direct); });
+  FaultScheduler faults(net);
+  faults.schedule_cut(0, {direct}, microseconds(50));
   bool ever_dead = false;
   for (TimePs when = 0; when <= microseconds(400); when += microseconds(10)) {
-    net.at(when, [&] { ever_dead = ever_dead || net.failure_view().is_dead(direct); });
+    net.run_until(when);
+    ever_dead = ever_dead || net.failure_view().is_dead(direct);
   }
   net.run_until(microseconds(500));
   EXPECT_FALSE(ever_dead);
@@ -177,11 +189,8 @@ TEST(FaultInjection, ScriptedCutShowsLossOnlyInsideDetectionWindow) {
     dropped.push_back(net.now());
   });
 
-  for (int i = 0; i < 4'000; ++i) {
-    net.at(milliseconds(1) * i, [&net, src, dst, task] {
-      net.send(src, dst, bytes(400), task, 99);  // one flow, stable hash
-    });
-  }
+  CbrSource flow = pinned_flow(net, src, dst, task, milliseconds(1), 4'000);
+  flow.arm();
   FaultScheduler faults(net);
   faults.schedule_fiber_cut(seconds(1), {0, 0}, seconds(3));
   net.run_until(seconds(5));
@@ -253,15 +262,8 @@ TEST(FaultInjection, PoissonChurnConservesPacketsAndConverges) {
   oracle.attach_failure_view(&net.failure_view());
 
   const int task = net.new_task({});
-  Rng rng(17);
-  for (int i = 0; i < 20'000; ++i) {
-    net.at(microseconds(10) * i, [&net, &t, &rng, task] {
-      const auto src = t.hosts[rng.next_below(t.hosts.size())];
-      auto dst = t.hosts[rng.next_below(t.hosts.size())];
-      while (dst == src) dst = t.hosts[rng.next_below(t.hosts.size())];
-      net.send(src, dst, bytes(400), task, rng.next_u64());
-    });
-  }
+  RandomPairSource source(net, task, bytes(400), microseconds(10), 20'000, Rng(17));
+  source.arm();
 
   FaultScheduler faults(net);
   PoissonFaultParams churn;
@@ -307,7 +309,8 @@ TEST(FaultScheduler, OverlappingCutWindowsDoNotResurrectTheLink) {
   std::vector<std::pair<TimePs, bool>> observed;
   for (const TimePs when :
        {milliseconds(20), milliseconds(60), milliseconds(120), milliseconds(160)}) {
-    net.at(when, [&net, &observed, direct] { observed.emplace_back(net.now(), net.link_up(direct)); });
+    net.run_until(when);
+    observed.emplace_back(net.now(), net.link_up(direct));
   }
   net.run_until(milliseconds(200));
 
@@ -340,11 +343,8 @@ TEST(FaultScheduler, NeverRepairedCutKeepsTrafficOnDetours) {
   std::vector<std::pair<TimePs, int>> delivered;
   const int task = net.new_task(
       [&](const Packet& p, TimePs) { delivered.emplace_back(net.now(), p.hops); });
-  for (int i = 0; i < 200; ++i) {
-    net.at(milliseconds(1) * i, [&net, src, dst, task] {
-      net.send(src, dst, bytes(400), task, 99);
-    });
-  }
+  CbrSource flow = pinned_flow(net, src, dst, task, milliseconds(1), 200);
+  flow.arm();
   FaultScheduler faults(net);
   faults.schedule_cut(milliseconds(10), severed);  // repair_at omitted: never
   net.run_until(milliseconds(300));
@@ -379,17 +379,12 @@ TEST(FaultScheduler, TransceiverAgingCorruptsPacketsOnlyWhileActive) {
   const topo::NodeId dst = host_of(t, t.tors[1]);
 
   const int task = net.new_task({});
-  for (int i = 0; i < 3'000; ++i) {
-    net.at(microseconds(10) * i, [&net, src, dst, task] {
-      net.send(src, dst, bytes(400), task, 99);
-    });
-  }
+  CbrSource flow = pinned_flow(net, src, dst, task, microseconds(10), 3'000);
+  flow.arm();
   faults.schedule_transceiver_aging(milliseconds(5), direct, 0.5, milliseconds(20));
-  std::uint64_t corrupted_at_restore = 0;
-  net.at(milliseconds(20), [&] {
-    corrupted_at_restore = net.packets_dropped(DropReason::kCorrupted);
-    EXPECT_DOUBLE_EQ(net.link_loss_rate(direct), 0.0);  // restored
-  });
+  net.run_until(milliseconds(20));
+  const std::uint64_t corrupted_at_restore = net.packets_dropped(DropReason::kCorrupted);
+  EXPECT_DOUBLE_EQ(net.link_loss_rate(direct), 0.0);  // restored
   net.run_until(milliseconds(40));
 
   // Roughly half the ~1500 packets inside the gray window were eaten…
@@ -423,7 +418,8 @@ TEST(FaultScheduler, StackedDegradationsCombineAndUnwindIndependently) {
   faults.schedule_transceiver_aging(milliseconds(10), direct, 0.2, milliseconds(20));
   std::vector<double> loss;
   for (const TimePs when : {milliseconds(5), milliseconds(15), milliseconds(25), milliseconds(35)}) {
-    net.at(when, [&net, &loss, direct] { loss.push_back(net.link_loss_rate(direct)); });
+    net.run_until(when);
+    loss.push_back(net.link_loss_rate(direct));
   }
   net.run_until(milliseconds(40));
 

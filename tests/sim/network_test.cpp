@@ -30,6 +30,12 @@ struct Fixture {
   }
 };
 
+/// Records the node of every arrival (hosts and switches).
+struct ArrivalTrace final : TelemetrySink {
+  std::vector<NodeId> nodes;
+  void on_arrival(const Packet&, NodeId node, TimePs, TimePs) override { nodes.push_back(node); }
+};
+
 TEST(Network, CutThroughLatencyArithmetic) {
   // One ULL switch at 10 Gb/s, zero propagation.  400B packet: the
   // host serializes 320 ns; the cut-through decision lands at first
@@ -208,13 +214,12 @@ TEST(Network, ArrivalHookTracesTheRoute) {
   routing::EcmpOracle oracle(routing);
   Network net(topo, oracle);
 
-  std::vector<topo::NodeId> trace;
-  net.add_arrival_hook([&trace](const Packet&, topo::NodeId node, TimePs) {
-    trace.push_back(node);
-  });
+  ArrivalTrace arrivals;
+  net.add_sink(&arrivals);
   const int task = net.new_task({});
   net.send(topo.host_groups[0][0], topo.host_groups[3][1], bytes(400), task, 1);
   net.run_until(milliseconds(1));
+  const std::vector<NodeId>& trace = arrivals.nodes;
 
   // host -> ToR0 -> ToR3 -> host: three arrivals after the send.
   ASSERT_EQ(trace.size(), 3u);
@@ -224,19 +229,18 @@ TEST(Network, ArrivalHookTracesTheRoute) {
 }
 
 TEST(Network, TwoArrivalSubscribersBothFire) {
-  // Regression: hook registration used to be last-writer-wins, so a
-  // second subscriber silently replaced the first.
+  // Regression: a second subscriber must not displace the first.
   auto f = Fixture::single_switch(topo::SwitchModel::ull(), gigabits_per_second(10));
   Network net(f.topo, *f.oracle);
-  int first = 0;
-  int second = 0;
-  net.add_arrival_hook([&first](const Packet&, topo::NodeId, TimePs) { ++first; });
-  net.add_arrival_hook([&second](const Packet&, topo::NodeId, TimePs) { ++second; });
+  ArrivalTrace first;
+  ArrivalTrace second;
+  net.add_sink(&first);
+  net.add_sink(&second);
   const int task = net.new_task({});
   net.send(f.topo.hosts[0], f.topo.hosts[1], bytes(400), task, 1);
   net.run_until(milliseconds(1));
-  EXPECT_EQ(first, 2);  // switch + destination host
-  EXPECT_EQ(second, 2);
+  EXPECT_EQ(first.nodes.size(), 2u);  // switch + destination host
+  EXPECT_EQ(second.nodes.size(), 2u);
 }
 
 TEST(Network, TwoDropSubscribersBothFire) {
@@ -246,13 +250,7 @@ TEST(Network, TwoDropSubscribersBothFire) {
   Network net(f.topo, *f.oracle, config);
   std::uint64_t first = 0;
   std::uint64_t second = 0;
-  // One subscriber arrives through the deprecated set_* shim on purpose:
-  // this is the regression test that keeps the shim appending (not
-  // replacing) until the last out-of-tree caller migrates to add_*.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  net.set_drop_hook([&first](const Packet&, DropReason) { ++first; });
-#pragma GCC diagnostic pop
+  net.add_drop_hook([&first](const Packet&, DropReason) { ++first; });
   net.add_drop_hook([&second](const Packet&, DropReason) { ++second; });
   const int task = net.new_task({});
   for (int i = 0; i < 50; ++i) {
@@ -264,9 +262,7 @@ TEST(Network, TwoDropSubscribersBothFire) {
   EXPECT_EQ(second, net.packets_dropped());
 }
 
-TEST(Network, SinkAndHookCoexist) {
-  // A telemetry sink and a legacy hook observe the same events, and a
-  // removed sink stops observing.
+TEST(Network, RemovedSinkStopsObserving) {
   struct CountingSink final : TelemetrySink {
     int arrivals = 0;
     int deliveries = 0;
@@ -277,25 +273,18 @@ TEST(Network, SinkAndHookCoexist) {
   Network net(f.topo, *f.oracle);
   CountingSink sink;
   net.add_sink(&sink);
-  int hook_arrivals = 0;
-  // The other shim also stays covered here, next to a modern sink.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  net.set_arrival_hook(
-      [&hook_arrivals](const Packet&, topo::NodeId, TimePs) { ++hook_arrivals; });
-#pragma GCC diagnostic pop
   const int task = net.new_task({});
   net.send(f.topo.hosts[0], f.topo.hosts[1], bytes(400), task, 1);
   net.run_until(milliseconds(1));
   EXPECT_EQ(sink.arrivals, 2);
-  EXPECT_EQ(hook_arrivals, 2);
   EXPECT_EQ(sink.deliveries, 1);
 
   net.remove_sink(&sink);
   net.send(f.topo.hosts[0], f.topo.hosts[1], bytes(400), task, 2);
   net.run_until(net.now() + milliseconds(1));
   EXPECT_EQ(sink.arrivals, 2);  // unchanged after removal
-  EXPECT_EQ(hook_arrivals, 4);
+  EXPECT_EQ(sink.deliveries, 1);
+  EXPECT_EQ(net.packets_delivered(), 2u);
 }
 
 TEST(Network, TracedHopsMatchRoutingDistance) {
@@ -307,18 +296,19 @@ TEST(Network, TracedHopsMatchRoutingDistance) {
   routing::EcmpOracle oracle(routing);
   Network net(topo, oracle);
 
-  int arrivals = 0;
-  net.add_arrival_hook([&arrivals](const Packet&, topo::NodeId, TimePs) { ++arrivals; });
+  ArrivalTrace arrivals;
+  net.add_sink(&arrivals);
   const int task = net.new_task({});
   Rng rng(57);
   for (int i = 0; i < 100; ++i) {
     const auto src = topo.hosts[rng.next_below(topo.hosts.size())];
     auto dst = topo.hosts[rng.next_below(topo.hosts.size())];
     while (dst == src) dst = topo.hosts[rng.next_below(topo.hosts.size())];
-    arrivals = 0;
+    arrivals.nodes.clear();
     net.send(src, dst, bytes(400), task, rng.next_u64());
     net.run_until(net.now() + milliseconds(1));
-    EXPECT_EQ(arrivals, routing.distance(src, dst)) << "pair " << src << "->" << dst;
+    EXPECT_EQ(static_cast<int>(arrivals.nodes.size()), routing.distance(src, dst))
+        << "pair " << src << "->" << dst;
   }
 }
 

@@ -8,6 +8,7 @@
 #include "routing/health_monitor.hpp"
 #include "routing/oracle.hpp"
 #include "sim/fault_injection.hpp"
+#include "sim/fluid.hpp"
 #include "sim/network.hpp"
 #include "topo/builders.hpp"
 #include "topo/failures.hpp"
@@ -74,7 +75,8 @@ TEST(ProbePlane, HardFailureIsDetectedByMissedProbesAndRecoveryByAcks) {
   const topo::LinkId victim = topo::severed_links(t, {{0, 0}}).front();
   probes.start({victim});
 
-  net.at(milliseconds(1), [&] { net.fail_link(victim); });
+  FaultScheduler faults(net);
+  faults.schedule_cut(milliseconds(1), {victim});
   net.run_until(milliseconds(1) + microseconds(100));
   // Three missed probes (30 us) plus one propagation: long detected.
   EXPECT_EQ(monitor.health(victim), routing::LinkHealth::kDead);
@@ -183,11 +185,11 @@ FlapOutcome run_flap_scenario(bool monitored) {
   const topo::NodeId src = host_of(t, link.a);
   const topo::NodeId dst = host_of(t, link.b);
   const int task = net.new_task({});
-  for (int i = 0; i < 2'000; ++i) {
-    net.at(microseconds(50) * i, [&net, src, dst, task] {
-      net.send(src, dst, bytes(400), task, 99);  // one flow, stable hash
-    });
-  }
+  // One flow (flow id 99, stable hash): 400 B every 50 us, 2000 packets.
+  const Bits packet = bytes(400);
+  const TimePs gap = microseconds(50);
+  CbrSource flow(net, {{src, dst, packet * 1e12 / gap, packet}}, task, 0, gap * 1'999, 99);
+  flow.arm();
 
   FaultScheduler faults(net);
   faults.schedule_flapping(milliseconds(5), victim, microseconds(300), microseconds(200), 100);

@@ -6,6 +6,7 @@
 
 #include "routing/ecmp.hpp"
 #include "routing/oracle.hpp"
+#include "sim/fault_injection.hpp"
 #include "sim/network.hpp"
 #include "topo/builders.hpp"
 
@@ -42,9 +43,8 @@ TEST(PeriodicSampler, BucketsDeliveriesByTime) {
   // Two packets delivered inside bucket 0, one in bucket 2.
   net.send(f.topo.hosts[0], f.topo.hosts[1], bytes(400), task, 1);
   net.send(f.topo.hosts[2], f.topo.hosts[3], bytes(400), task, 2);
-  net.at(microseconds(250), [&] {
-    net.send(f.topo.hosts[0], f.topo.hosts[2], bytes(400), task, 3);
-  });
+  net.run_until(microseconds(250));
+  net.send(f.topo.hosts[0], f.topo.hosts[2], bytes(400), task, 3);
   net.run_until(milliseconds(1));
 
   const auto buckets = sampler.summaries();
@@ -176,8 +176,8 @@ TEST(FaultTimeline, ObservesLiveNetworkFailures) {
   sim::Network net(f.topo, *f.oracle, config);
   FaultTimeline timeline;
   net.add_sink(&timeline);
-  net.at(microseconds(10), [&] { net.fail_link(0); });
-  net.at(microseconds(400), [&] { net.repair_link(0); });
+  sim::FaultScheduler faults(net);
+  faults.schedule_cut(microseconds(10), {0}, microseconds(400));
   net.run_until(milliseconds(1));
 
   EXPECT_EQ(timeline.cuts(), 1u);
