@@ -3,9 +3,12 @@
 // (Poisson arrivals -> per-hop header-decision / transmit-complete
 // chains -> delivery).  Measures events/sec and allocations/event via a
 // counting operator-new hook, and enforces the refactor's acceptance
-// bar: zero steady-state allocations and a real speedup.
+// bar: zero steady-state allocations and a real speedup.  A second
+// section times one sharded storm at 1, min(8, hardware threads) and 8
+// shards and gates the wall-clock speedups (see multicore_report()).
 #include "report.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -338,13 +341,26 @@ void report() {
 // --- intra-run sharding at million-event scale ------------------------------
 //
 // ONE composite-fabric simulation (ring-of-rings:8x8@2, 128 hosts,
-// ~2M events serial) through the conservative time-windowed parallel
-// engine at 1 and 8 shards.  The digest equality is CHECKed
-// unconditionally — parallel execution must preserve the serial event
-// order bit-for-bit; the >= 3x events/sec speedup bar (4x is the
-// target) only binds on optimized builds with >= 8 hardware threads,
-// because below that the barrier overhead has nothing to amortize
-// against.
+// ~1.6M events serial) through the conservative time-windowed parallel
+// engine at 1 shard, at min(8, hardware threads) shards and at 8
+// shards.  The digest equality is CHECKed unconditionally — parallel
+// execution must preserve the serial event order bit-for-bit.  Both
+// speedup bars are WALL-CLOCK ratios (serial wall / sharded wall, each
+// the best of kMulticoreRepeats runs), not events/sec ratios: events at
+// N shards include the replicated control plane.  They bind only on
+// optimized builds:
+//   * min(8, hardware threads) shards: >= kBoundSpeedupBar wherever
+//     that is >= 4 shards, i.e. on every host with >= 4 threads.  At
+//     4 shards on a 4-thread Xeon, 8 runs of this binary measured
+//     1.40-2.34x (median 1.54x; serial 0.14-0.18 s, 4 shards
+//     0.08-0.10 s); 1.25x leaves the margin for a noisy host.
+//   * 8 shards: >= 3x, only with >= 8 hardware threads, because below
+//     that the shards share cores and the barrier parks.
+// Each row also reports the window ledger's barrier-wait share: the
+// fraction of the shards' wall clock spent inside the window barrier.
+
+constexpr int kMulticoreRepeats = 3;
+constexpr double kBoundSpeedupBar = 1.25;
 
 chaos::ShardedStormParams multicore_params(int shards) {
   chaos::ShardedStormParams params;
@@ -363,7 +379,8 @@ chaos::ShardedStormParams multicore_params(int shards) {
 }
 
 struct MulticoreRun {
-  chaos::ShardedStormResult result;
+  int shards = 1;
+  chaos::ShardedStormResult result;  // of the fastest run
   double seconds = 0;
   double events_per_sec() const {
     return seconds > 0 ? static_cast<double>(result.events) / seconds : 0;
@@ -371,36 +388,63 @@ struct MulticoreRun {
 };
 
 MulticoreRun timed_sharded(int shards) {
-  MulticoreRun run;
-  const auto start = std::chrono::steady_clock::now();
-  run.result = chaos::run_sharded_storm(multicore_params(shards));
-  run.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return run;
+  MulticoreRun best;
+  best.shards = shards;
+  for (int i = 0; i < kMulticoreRepeats; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    chaos::ShardedStormResult result = chaos::run_sharded_storm(multicore_params(shards));
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    if (i == 0 || seconds < best.seconds) {
+      best.seconds = seconds;
+      best.result = std::move(result);
+    }
+  }
+  return best;
 }
 
 void multicore_report() {
   const unsigned cores = std::thread::hardware_concurrency();
+  const int bound_shards = static_cast<int>(std::clamp(cores, 1u, 8u));
   const MulticoreRun serial = timed_sharded(1);
   const MulticoreRun sharded = timed_sharded(8);
+  const bool bound_distinct = bound_shards != 1 && bound_shards != 8;
+  const MulticoreRun at_bound = bound_distinct ? timed_sharded(bound_shards)
+                                : bound_shards == 1 ? serial
+                                                    : sharded;
 
-  const bool digest_match =
-      serial.result.delivery_digest == sharded.result.delivery_digest &&
-      serial.result.drop_digest == sharded.result.drop_digest;
-  // events_processed at 8 shards includes the replicated control
-  // plane, so the honest speedup compares useful throughput: the
-  // SERIAL event count over each configuration's wall clock.
-  const double speedup =
-      sharded.seconds > 0 ? serial.seconds / sharded.seconds : 0.0;
+  auto matches = [&serial](const MulticoreRun& run) {
+    return serial.result.delivery_digest == run.result.delivery_digest &&
+           serial.result.drop_digest == run.result.drop_digest;
+  };
+  const bool digest_match = matches(at_bound) && matches(sharded);
+  auto speedup_of = [&serial](const MulticoreRun& run) {
+    return run.seconds > 0 ? serial.seconds / run.seconds : 0.0;
+  };
+  const double speedup = speedup_of(sharded);
+  const double bound_speedup = speedup_of(at_bound);
+  const double barrier_share = sim::barrier_wait_share(sharded.result.window_stats);
+  const double bound_barrier_share = sim::barrier_wait_share(at_bound.result.window_stats);
 
-  Table table({"configuration", "events", "deliveries", "wall (s)", "events/sec (M)"});
-  for (const auto& [name, run] :
-       {std::pair<const char*, const MulticoreRun&>{"1 shard (serial reference)", serial},
-        {"8 shards (windowed parallel)", sharded}}) {
-    char wall[16], eps[16];
-    std::snprintf(wall, sizeof(wall), "%.3f", run.seconds);
-    std::snprintf(eps, sizeof(eps), "%.2f", run.events_per_sec() / 1e6);
-    table.add_row({name, std::to_string(run.result.events),
-                   std::to_string(run.result.deliveries), wall, eps});
+  Table table({"configuration", "events", "deliveries", "wall (s)", "events/sec (M)",
+               "barrier wait (us/window)", "barrier share"});
+  std::vector<const MulticoreRun*> rows = {&serial};
+  if (bound_distinct) rows.push_back(&at_bound);
+  rows.push_back(&sharded);
+  for (const MulticoreRun* run : rows) {
+    const std::vector<sim::WindowStats>& windows = run->result.window_stats;
+    double wait_us = 0;
+    for (const sim::WindowStats& w : windows) wait_us += w.wait_us_per_window();
+    if (!windows.empty()) wait_us /= static_cast<double>(windows.size());
+    char wall[16], eps[16], wait[16], share[16];
+    std::snprintf(wall, sizeof(wall), "%.3f", run->seconds);
+    std::snprintf(eps, sizeof(eps), "%.2f", run->events_per_sec() / 1e6);
+    std::snprintf(wait, sizeof(wait), "%.2f", wait_us);
+    std::snprintf(share, sizeof(share), "%.3f", sim::barrier_wait_share(windows));
+    const std::string name = run->shards == 1 ? std::string("1 shard (serial reference)")
+                                              : std::to_string(run->shards) + " shards";
+    table.add_row({name, std::to_string(run->result.events),
+                   std::to_string(run->result.deliveries), wall, eps, wait, share});
   }
   bench::Report::instance().add_table("engine_multicore", table);
 
@@ -409,30 +453,45 @@ void multicore_report() {
 #else
   const bool optimized = false;
 #endif
-  // The speedup bar only binds where it can physically hold.
+  // Each speedup bar only binds where it can physically hold.
   const bool checked = optimized && cores >= 8;
+  const bool bound_checked = optimized && bound_shards >= 4;
   bench::Report::instance().add_row(
       "engine_multicore_summary",
       {{"serial_events_per_sec", serial.events_per_sec()},
        {"sharded_events_per_sec", sharded.events_per_sec()},
        {"serial_events", static_cast<std::int64_t>(serial.result.events)},
        {"speedup", speedup},
+       {"barrier_share", barrier_share},
        {"digest_match", static_cast<std::int64_t>(digest_match ? 1 : 0)},
        {"hardware_threads", static_cast<std::int64_t>(cores)},
-       {"speedup_checked", static_cast<std::int64_t>(checked ? 1 : 0)}});
+       {"speedup_checked", static_cast<std::int64_t>(checked ? 1 : 0)},
+       {"bound_shards", static_cast<std::int64_t>(bound_shards)},
+       {"bound_speedup", bound_speedup},
+       {"bound_speedup_bar", kBoundSpeedupBar},
+       {"bound_speedup_checked", static_cast<std::int64_t>(bound_checked ? 1 : 0)},
+       {"bound_barrier_share", bound_barrier_share}});
 
   QUARTZ_CHECK(digest_match,
                "sharded execution must reproduce the serial digests bit-for-bit");
   QUARTZ_CHECK(serial.result.deliveries > 0 && serial.result.events >= 1'000'000,
                "multicore bench must run at million-event scale");
-  if (checked) {
-    QUARTZ_CHECK(speedup >= 3.0, "8-shard speedup is below the 3x acceptance bar");
+  if (bound_checked) {
+    QUARTZ_CHECK(bound_speedup >= kBoundSpeedupBar,
+                 "min(8, hardware threads)-shard wall-clock speedup is below its bar");
   }
-  std::printf("multicore: %llu events, speedup %.2fx at 8 shards (%u hw threads, "
-              "digest %s, bar %s)\n",
-              static_cast<unsigned long long>(serial.result.events), speedup, cores,
-              digest_match ? "match" : "MISMATCH",
-              checked ? "enforced: >=3x" : "reported only (needs NDEBUG + >=8 threads)");
+  if (checked) {
+    QUARTZ_CHECK(speedup >= 3.0, "8-shard wall-clock speedup is below the 3x acceptance bar");
+  }
+  std::printf("multicore: %llu events; wall-clock speedup %.2fx at %d shards (bar %.2fx %s), "
+              "%.2fx at 8 shards (bar %s); barrier share %.3f at %d shards, %.3f at 8; "
+              "%u hw threads, digest %s\n",
+              static_cast<unsigned long long>(serial.result.events), bound_speedup,
+              bound_shards, kBoundSpeedupBar, bound_checked ? "enforced" : "reported only",
+              speedup,
+              checked ? "enforced: >=3x" : "reported only (needs NDEBUG + >=8 threads)",
+              bound_barrier_share, bound_shards, barrier_share, cores,
+              digest_match ? "match" : "MISMATCH");
 }
 
 void BM_TypedEngine(benchmark::State& state) {

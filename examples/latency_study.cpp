@@ -23,6 +23,7 @@
 #include "common/table.hpp"
 #include "sim/experiments.hpp"
 #include "topo/composite.hpp"
+#include "sim/sharded.hpp"
 #include "sim/sweep.hpp"
 #include "sim/workloads.hpp"
 #include "telemetry/binary_stream.hpp"
@@ -309,6 +310,8 @@ int run(int argc, char** argv) {
     std::printf("  delivery digest %016llx %s\n",
                 static_cast<unsigned long long>(sharded.delivery_digest),
                 match ? "(byte-identical to serial)" : "(MISMATCH vs serial)");
+    std::printf("  shards=%d window ledger (wall clock):\n%s", shards,
+                sim::window_ledger_text(sharded.window_stats).c_str());
     if (!match) return 1;
   }
 

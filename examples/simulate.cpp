@@ -18,6 +18,7 @@
 #include "chaos/sharded_storm.hpp"
 #include "common/flags.hpp"
 #include "sim/experiments.hpp"
+#include "sim/sharded.hpp"
 #include "topo/composite.hpp"
 #include "telemetry/binary_stream.hpp"
 #include "telemetry/metrics.hpp"
@@ -247,6 +248,8 @@ int run(int argc, char** argv) {
                   static_cast<unsigned long long>(result.mail_posted));
       std::printf("  delivery digest %016llx (byte-identical at every --shards)\n",
                   static_cast<unsigned long long>(result.delivery_digest));
+      std::printf("  window ledger (wall clock, per shard):\n%s",
+                  sim::window_ledger_text(result.window_stats).c_str());
     }
     return 0;
   }

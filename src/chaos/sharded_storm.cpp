@@ -349,6 +349,7 @@ ShardedStormResult ShardedStormRun::finish() {
   result.shards = params_.shards;
   result.lookahead = sim_->plan().lookahead;
   result.strategy = sim_->plan().strategy;
+  result.window_stats = sim_->window_stats();
 
   std::vector<std::vector<StormShard::Rec>> streams(
       static_cast<std::size_t>(params_.shards));

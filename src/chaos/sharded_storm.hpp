@@ -79,6 +79,9 @@ struct ShardedStormResult {
   std::uint64_t mail_posted = 0;
   double mean_latency_us = 0.0;
   double p99_latency_us = 0.0;
+  /// Per-shard window ledger (ShardedSim::window_stats()): wall-clock
+  /// only, so it differs run to run while the digests above do not.
+  std::vector<sim::WindowStats> window_stats;
 };
 
 class ShardedStormRun final {

@@ -1,5 +1,7 @@
 #include "sim/sharded.hpp"
 
+#include <chrono>
+#include <cstdio>
 #include <string>
 
 #include "common/check.hpp"
@@ -15,7 +17,7 @@ constexpr std::uint32_t kLayoutChunk = snapshot::chunk_id("SHRD");
 ShardedSim::ShardedSim(PartitionPlan plan, const ShardFactory& factory)
     : plan_(std::move(plan)),
       boxes_(static_cast<std::size_t>(plan_.shards) * static_cast<std::size_t>(plan_.shards)),
-      barrier_(plan_.shards) {
+      barrier_(plan_.shards, barrier_spins(plan_.shards, std::thread::hardware_concurrency())) {
   const int shards = plan_.shards;
   for (int p = 0; p < shards; ++p) {
     for (int c = 0; c < shards; ++c) {
@@ -129,30 +131,47 @@ void ShardedSim::worker_main(int index) {
 }
 
 void ShardedSim::run_windows(int index, TimePs begin, TimePs end) {
+  using Clock = std::chrono::steady_clock;
+  auto ns = [](Clock::duration d) {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
+  };
   Worker& self = *workers_[static_cast<std::size_t>(index)];
   const TimePs w = plan_.lookahead;
   const std::int64_t barriers = barrier_count(begin, end);
   std::int64_t arrived = 0;
+  WindowStats stats;
+  Clock::time_point mark = Clock::now();
   try {
     Network& net = self.shard->network();
     TimePs cursor = begin;
-    while (cursor < end) {
-      // Overflow-safe min(cursor + w, end): w is TimePs max for a
-      // single-shard plan.
-      const TimePs target = end - cursor <= w ? end : cursor + w;
-      net.run_before(target);
+    for (;;) {
+      // Strict windows until the cursor reaches `end`, then the
+      // inclusive tail, which runs the events at exactly `end`;
+      // transits they generate land at end + propagation > end, so its
+      // drain only schedules future work (mailboxes still quiesce).
+      const bool tail = cursor == end;
+      const std::uint64_t before = net.events_processed();
+      if (tail) {
+        net.run_until(end);
+      } else {
+        // Overflow-safe min(cursor + w, end): w is TimePs max for a
+        // single-shard plan.
+        const TimePs target = end - cursor <= w ? end : cursor + w;
+        net.run_before(target);
+        cursor = target;
+      }
+      if (net.events_processed() == before) ++stats.empty_windows;
+      const Clock::time_point ran = Clock::now();
       barrier_.arrive_and_wait();
       ++arrived;
-      drain_inboxes(index);
-      cursor = target;
+      ++stats.windows;
+      const Clock::time_point released = Clock::now();
+      stats.run_ns += ns(ran - mark);
+      stats.wait_ns += ns(released - ran);
+      mark = released;
+      stats.mail_drained += drain_inboxes(index);
+      if (tail) break;
     }
-    // The inclusive tail runs the events at exactly `end`; transits
-    // they generate land at end + propagation > end, so the drain
-    // below only schedules future work (mailboxes still quiesce).
-    net.run_until(end);
-    barrier_.arrive_and_wait();
-    ++arrived;
-    drain_inboxes(index);
   } catch (...) {
     self.error = std::current_exception();
     // Keep honoring the deterministic barrier schedule as no-ops so
@@ -160,16 +179,26 @@ void ShardedSim::run_windows(int index, TimePs begin, TimePs end) {
     // error once the round completes.
     for (; arrived < barriers; ++arrived) barrier_.arrive_and_wait();
   }
+  // The last drain (or the failed window) closes the run time.
+  stats.run_ns += ns(Clock::now() - mark);
+  WindowStats& total = self.stats;
+  total.windows += stats.windows;
+  total.empty_windows += stats.empty_windows;
+  total.mail_drained += stats.mail_drained;
+  total.run_ns += stats.run_ns;
+  total.wait_ns += stats.wait_ns;
 }
 
-void ShardedSim::drain_inboxes(int index) {
+std::uint64_t ShardedSim::drain_inboxes(int index) {
   Network& net = workers_[static_cast<std::size_t>(index)]->shard->network();
   const int shards = plan_.shards;
+  std::uint64_t drained = 0;
   for (int p = 0; p < shards; ++p) {
     if (p == index) continue;
-    boxes_[static_cast<std::size_t>(p * shards + index)]->drain(
+    drained += boxes_[static_cast<std::size_t>(p * shards + index)]->drain(
         [&net](const Mailbox::Entry& entry) { net.deliver_mail(entry); });
   }
+  return drained;
 }
 
 std::int64_t ShardedSim::barrier_count(TimePs begin, TimePs end) const {
@@ -243,6 +272,47 @@ std::uint64_t ShardedSim::mail_posted() {
   std::uint64_t total = 0;
   visit([&total](int, Shard& shard) { total += shard.network().mail_posted(); });
   return total;
+}
+
+std::vector<WindowStats> ShardedSim::window_stats() const {
+  std::vector<WindowStats> out;
+  out.reserve(workers_.size());
+  for (const auto& w : workers_) out.push_back(w->stats);
+  return out;
+}
+
+double WindowStats::run_us_per_window() const {
+  return windows > 0 ? 1e-3 * static_cast<double>(run_ns) / static_cast<double>(windows) : 0.0;
+}
+
+double WindowStats::wait_us_per_window() const {
+  return windows > 0 ? 1e-3 * static_cast<double>(wait_ns) / static_cast<double>(windows) : 0.0;
+}
+
+double barrier_wait_share(const std::vector<WindowStats>& shards) {
+  std::int64_t wait = 0;
+  std::int64_t total = 0;
+  for (const WindowStats& s : shards) {
+    wait += s.wait_ns;
+    total += s.run_ns + s.wait_ns;
+  }
+  return total > 0 ? static_cast<double>(wait) / static_cast<double>(total) : 0.0;
+}
+
+std::string window_ledger_text(const std::vector<WindowStats>& shards) {
+  std::string out;
+  char line[160];
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const WindowStats& s = shards[i];
+    std::snprintf(line, sizeof(line),
+                  "  shard %zu: %llu windows (%llu empty), run %.2f us/window, "
+                  "barrier wait %.2f us/window, %llu mail drained\n",
+                  i, static_cast<unsigned long long>(s.windows),
+                  static_cast<unsigned long long>(s.empty_windows), s.run_us_per_window(),
+                  s.wait_us_per_window(), static_cast<unsigned long long>(s.mail_drained));
+    out += line;
+  }
+  return out;
 }
 
 void ShardedSim::save_layout(snapshot::Writer& w) const {

@@ -10,7 +10,7 @@
 //     while (cursor < end)             // strict windows
 //       target = min(cursor + W, end)
 //       every shard: run events with time <  target
-//       barrier
+//       barrier                    // WindowBarrier (window_barrier.hpp)
 //       every shard: drain inbox mailboxes into the engine
 //       cursor = target
 //     every shard: run events with time <= end   // the inclusive tail
@@ -40,19 +40,20 @@
 // shard state.
 #pragma once
 
-#include <barrier>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "sim/mailbox.hpp"
 #include "sim/network.hpp"
 #include "sim/partition.hpp"
+#include "sim/window_barrier.hpp"
 
 namespace quartz::snapshot {
 class Writer;
@@ -80,6 +81,26 @@ struct ShardContext {
 };
 using ShardFactory = std::function<std::unique_ptr<Shard>(const ShardContext&)>;
 
+/// One shard's window ledger: where its worker's wall clock went,
+/// summed over every run_until call.  Costs two steady-clock reads per
+/// window.  Wall-clock only: never part of a digest or a checkpoint.
+struct WindowStats {
+  std::uint64_t windows = 0;        ///< barrier phases: strict windows + tails
+  std::uint64_t empty_windows = 0;  ///< windows that dispatched no event
+  std::uint64_t mail_drained = 0;   ///< cross-shard transits taken from inboxes
+  std::int64_t run_ns = 0;          ///< running events and draining mail
+  std::int64_t wait_ns = 0;         ///< inside the barrier, spinning or parked
+
+  double run_us_per_window() const;
+  double wait_us_per_window() const;
+};
+
+/// Barrier wait over all wall clock the shards spent (run + wait).
+double barrier_wait_share(const std::vector<WindowStats>& shards);
+/// One line per shard: windows (empty), run and barrier wait per
+/// window, mail drained — the CLIs' --shards report.
+std::string window_ledger_text(const std::vector<WindowStats>& shards);
+
 class ShardedSim final {
  public:
   /// Spawns plan.shards workers and builds one shard on each.  Throws
@@ -105,6 +126,9 @@ class ShardedSim final {
   std::uint64_t events_processed();
   /// Cross-shard transits posted across all shards so far.
   std::uint64_t mail_posted();
+  /// The per-shard window ledger, indexed by shard.  Like visit(), not
+  /// concurrently with run_until.
+  std::vector<WindowStats> window_stats() const;
 
   /// Write the shard-layout chunk ("SHRD": shard count, lookahead,
   /// window cursor, owner-map digest, strategy).  Pair with visit()
@@ -132,12 +156,15 @@ class ShardedSim final {
     // kVisit argument.
     const std::function<void(int, Shard&)>* visit_fn = nullptr;
     std::unique_ptr<Shard> shard;
+    // Written by the worker during kRun, read by the driver after it.
+    WindowStats stats;
   };
 
   void shutdown();
   void worker_main(int index);
   void run_windows(int index, TimePs begin, TimePs end);
-  void drain_inboxes(int index);
+  /// Returns the number of transits drained.
+  std::uint64_t drain_inboxes(int index);
   /// Barriers a [begin, end] run takes: strict windows + the tail.
   /// Pure function of the arguments so every worker agrees on it.
   std::int64_t barrier_count(TimePs begin, TimePs end) const;
@@ -152,7 +179,7 @@ class ShardedSim final {
   /// Per-producer outbox pointer array handed to ShardBinding.
   std::vector<std::vector<Mailbox*>> outboxes_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::barrier<> barrier_;
+  WindowBarrier barrier_;
   TimePs cursor_ = 0;
 };
 

@@ -1,8 +1,10 @@
 // Sharded-engine units: the partition planner, the SPSC mailbox (incl.
-// a concurrent stress), and ShardedSim window semantics — with a
-// barrier-boundary tie harness that sends packets timed so cross-shard
-// heads land EXACTLY on window barriers, the case the strict-window +
-// stamp protocol exists for.
+// a concurrent stress), the window barrier (its spin/park rule and a
+// many-phase stress in both modes), and ShardedSim window semantics —
+// with a barrier-boundary tie harness that sends packets timed so
+// cross-shard heads land EXACTLY on window barriers, the case the
+// strict-window + stamp protocol exists for — plus the window ledger
+// and a worker failing mid-run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +20,7 @@
 #include "sim/network.hpp"
 #include "sim/partition.hpp"
 #include "sim/sharded.hpp"
+#include "sim/window_barrier.hpp"
 #include "topo/builders.hpp"
 #include "topo/composite.hpp"
 
@@ -141,6 +144,54 @@ TEST(Mailbox, ConcurrentProducerConsumerStress) {
   EXPECT_EQ(box.consumed(), kTotal);
 }
 
+TEST(WindowBarrier, SpinsOnlyWhileEveryShardHasAHardwareThread) {
+  EXPECT_TRUE(sim::barrier_spins(1, 1));
+  EXPECT_TRUE(sim::barrier_spins(2, 4));
+  EXPECT_TRUE(sim::barrier_spins(4, 4));
+  EXPECT_TRUE(sim::barrier_spins(8, 64));
+  EXPECT_FALSE(sim::barrier_spins(5, 4));
+  EXPECT_FALSE(sim::barrier_spins(8, 4));
+  // A host that cannot report its thread count parks.
+  EXPECT_FALSE(sim::barrier_spins(2, 0));
+  EXPECT_FALSE(sim::barrier_spins(0, 4));
+}
+
+// Every party bumps phase k's counter, then arrives.  Leaving phase k
+// early would show as a counter below `parties`; running two phases
+// ahead would show as a nonzero counter at k + 2.
+void stress_barrier(int parties, bool spin) {
+  constexpr int kPhases = 100'000;
+  sim::WindowBarrier barrier(parties, spin);
+  std::vector<std::atomic<int>> arrivals(kPhases + 2);
+  std::atomic<std::uint64_t> early{0};
+  std::atomic<std::uint64_t> ahead{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < parties; ++t) {
+    threads.emplace_back([&] {
+      for (int k = 0; k < kPhases; ++k) {
+        arrivals[static_cast<std::size_t>(k)].fetch_add(1, std::memory_order_relaxed);
+        barrier.arrive_and_wait();
+        if (arrivals[static_cast<std::size_t>(k)].load(std::memory_order_relaxed) != parties) {
+          early.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (arrivals[static_cast<std::size_t>(k) + 2].load(std::memory_order_relaxed) != 0) {
+          ahead.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(early.load(), 0u);
+  EXPECT_EQ(ahead.load(), 0u);
+  for (int k = 0; k < kPhases; ++k) {
+    ASSERT_EQ(arrivals[static_cast<std::size_t>(k)].load(), parties) << "phase " << k;
+  }
+}
+
+TEST(WindowBarrier, NoPartyLeavesAPhaseEarlySpinning) { stress_barrier(4, true); }
+
+TEST(WindowBarrier, NoPartyLeavesAPhaseEarlyParking) { stress_barrier(4, false); }
+
 // ---------------------------------------------------------------------------
 // Barrier-boundary ties.
 //
@@ -263,6 +314,70 @@ TEST(ShardedSim, CrossShardTrafficUsesMailboxes) {
   sharded.run_until(microseconds(50));
   EXPECT_GT(sharded.mail_posted(), 0u);
   EXPECT_GT(sharded.events_processed(), 0u);
+}
+
+TEST(ShardedSim, WindowLedgerCountsEveryWindow) {
+  const auto topo = flat_ring(8, 1);
+  const routing::EcmpRouting routing(topo.graph);
+  sim::ShardedSim sharded(
+      sim::plan_partition(topo, 2),
+      [&](const sim::ShardContext& ctx) -> std::unique_ptr<sim::Shard> {
+        return std::make_unique<TieShard>(topo, routing, ctx, nanoseconds(300), 20);
+      });
+  const TimePs w = sharded.plan().lookahead;
+  sharded.visit([](int, sim::Shard& shard) { static_cast<TieShard&>(shard).arm(); });
+  // Two runs accumulate: 40 strict windows + a tail, then 60 + a tail.
+  sharded.run_until(40 * w);
+  sharded.run_until(100 * w);
+  const std::vector<sim::WindowStats> stats = sharded.window_stats();
+  ASSERT_EQ(stats.size(), 2u);
+  std::uint64_t drained = 0;
+  for (const sim::WindowStats& s : stats) {
+    EXPECT_EQ(s.windows, 102u);
+    EXPECT_LE(s.empty_windows, s.windows);
+    EXPECT_GT(s.run_ns, 0);
+    EXPECT_GE(s.wait_ns, 0);
+    drained += s.mail_drained;
+  }
+  // Mailboxes quiesce at every run_until return: all mail was drained.
+  EXPECT_GT(drained, 0u);
+  EXPECT_EQ(drained, sharded.mail_posted());
+  const double share = sim::barrier_wait_share(stats);
+  EXPECT_GE(share, 0.0);
+  EXPECT_LE(share, 1.0);
+}
+
+// A timer that fails its shard's run.
+class Bomb final : public sim::TimerHandler {
+ public:
+  void on_timer(const sim::TimerEvent&) override {
+    throw std::runtime_error("shard failed mid-run");
+  }
+};
+
+TEST(ShardedSim, RunErrorPropagatesWithoutDeadlock) {
+  const auto topo = flat_ring(8, 1);
+  const routing::EcmpRouting routing(topo.graph);
+  sim::ShardedSim sharded(
+      sim::plan_partition(topo, 4),
+      [&](const sim::ShardContext& ctx) -> std::unique_ptr<sim::Shard> {
+        return std::make_unique<TieShard>(topo, routing, ctx, nanoseconds(300), 20);
+      });
+  const TimePs w = sharded.plan().lookahead;
+  Bomb bomb;
+  sharded.visit([&](int index, sim::Shard& shard) {
+    static_cast<TieShard&>(shard).arm();
+    // Mid-window 10 of shard 2: windows 0-9 complete first.
+    if (index == 2) shard.network().schedule_timer(10 * w + w / 2, {&bomb, 0, 0, 0});
+  });
+  EXPECT_THROW(sharded.run_until(100 * w), std::runtime_error);
+  // The failed worker kept arriving as a no-op, so every other worker
+  // ran its whole schedule: 100 strict windows + the tail.
+  const std::vector<sim::WindowStats> stats = sharded.window_stats();
+  ASSERT_EQ(stats.size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(stats[static_cast<std::size_t>(i)].windows, i == 2 ? 10u : 101u) << "shard " << i;
+  }
 }
 
 TEST(ShardedSim, FactoryErrorPropagates) {
