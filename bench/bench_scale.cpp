@@ -6,7 +6,7 @@
 //     >= 1M modeled hosts on one box, with HierOracle's (node,
 //     level-group) FIB keeping routing state sublinear in hosts and
 //     the event rate above a floor (QUARTZ_CHECKed, with an RSS
-//     ceiling at the 100k-switch point).
+//     ceiling and a fabric-build time budget at the 100k-switch point).
 //  2. Fidelity: on a small fabric where the full packet-level
 //     simulation is affordable, foreground latency percentiles under
 //     the hybrid mode (background as fluid demands + queue bias) match
@@ -266,7 +266,20 @@ void run_report() {
   QUARTZ_CHECK(largest.modeled_hosts >= 1000000, "largest fabric below 1M modeled hosts");
   QUARTZ_CHECK(largest.events_per_sec >= 1e5,
                "hybrid event rate below the 100k events/s floor at the 100k-switch point");
-  QUARTZ_CHECK(largest.rss <= 4096.0, "RSS above the 4 GiB ceiling at the 100k-switch point");
+  // Measured at 48x48x48+10 on a 4-thread Xeon VM: RSS 604 MiB, build
+  // 362-495 ms.  The ceiling leaves 19% for allocator and library
+  // differences, the build budget 2x for a slower host.  Unoptimized
+  // builds run the builder several times slower, so they get 10 s.
+  constexpr double kRssCeilingMib = 720.0;
+#ifdef NDEBUG
+  constexpr double kBuildBudgetMs = 1000.0;
+#else
+  constexpr double kBuildBudgetMs = 10000.0;
+#endif
+  QUARTZ_CHECK(largest.rss <= kRssCeilingMib,
+               "RSS above the 720 MiB ceiling at the 100k-switch point");
+  QUARTZ_CHECK(largest.build_ms <= kBuildBudgetMs,
+               "fabric build over its time budget at the 100k-switch point");
 
   // ---- hybrid vs full-packet fidelity -----------------------------------
   const TimePs fidelity_duration = milliseconds(5);

@@ -19,6 +19,8 @@ namespace {
 constexpr std::size_t kFileHeaderBytes = 24;
 // Chunk header: id(4) crc(4) payload_bytes(8).
 constexpr std::size_t kChunkHeaderBytes = 16;
+// How far past the cursor Writer opens its buffer at a time.
+constexpr std::size_t kWriteWindowBytes = 4096;
 
 std::size_t align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
@@ -102,42 +104,47 @@ bool validate_chunks(const std::vector<std::byte>& data, std::size_t start,
 
 // --- Writer -----------------------------------------------------------------
 
+std::byte* Writer::extend(std::size_t bytes) {
+  QUARTZ_CHECK(chunk_start_ >= 0, "write outside a chunk");
+  if (buffer_.size() - end_ < bytes) {
+    // Open the window past the cursor a page at a time, so trimming at
+    // each chunk end re-zeroes little; the storage under it still
+    // grows geometrically.
+    buffer_.resize(end_ + std::max(bytes, kWriteWindowBytes));
+  }
+  std::byte* at = buffer_.data() + end_;
+  end_ += bytes;
+  return at;
+}
+
+void Writer::reserve(std::size_t bytes) { buffer_.reserve(end_ + bytes); }
+
 void Writer::begin_chunk(std::uint32_t id) {
   QUARTZ_CHECK(chunk_start_ < 0, "previous chunk still open");
-  chunk_start_ = static_cast<std::ptrdiff_t>(buffer_.size());
-  std::byte header[kChunkHeaderBytes] = {};
+  chunk_start_ = static_cast<std::ptrdiff_t>(end_);
+  std::byte* header = extend(kChunkHeaderBytes);
   store_u32(header, id);
-  buffer_.insert(buffer_.end(), header, header + kChunkHeaderBytes);
+  std::memset(header + 4, 0, kChunkHeaderBytes - 4);
 }
 
 void Writer::end_chunk() {
   QUARTZ_CHECK(chunk_start_ >= 0, "no open chunk");
   const auto payload_at = static_cast<std::size_t>(chunk_start_) + kChunkHeaderBytes;
-  const std::size_t payload = buffer_.size() - payload_at;
+  const std::size_t payload = end_ - payload_at;
   const std::uint32_t crc = crc32(buffer_.data() + payload_at, payload);
   store_u32(buffer_.data() + chunk_start_ + 4, crc);
   store_u64(buffer_.data() + chunk_start_ + 8, payload);
-  buffer_.resize(align8(buffer_.size()), std::byte{0});
+  const std::size_t pad = align8(end_) - end_;
+  std::memset(extend(pad), 0, pad);
+  buffer_.resize(end_);
   chunk_start_ = -1;
 }
 
-void Writer::append(const void* data, std::size_t bytes) {
-  QUARTZ_CHECK(chunk_start_ >= 0, "write outside a chunk");
-  const auto* p = static_cast<const std::byte*>(data);
-  buffer_.insert(buffer_.end(), p, p + bytes);
-}
+void Writer::put_u8(std::uint8_t v) { *extend(1) = static_cast<std::byte>(v); }
 
-void Writer::put_u32(std::uint32_t v) {
-  std::byte b[4];
-  store_u32(b, v);
-  append(b, 4);
-}
+void Writer::put_u32(std::uint32_t v) { store_u32(extend(4), v); }
 
-void Writer::put_u64(std::uint64_t v) {
-  std::byte b[8];
-  store_u64(b, v);
-  append(b, 8);
-}
+void Writer::put_u64(std::uint64_t v) { store_u64(extend(8), v); }
 
 void Writer::put_f64(double v) {
   std::uint64_t bits;
@@ -148,12 +155,12 @@ void Writer::put_f64(double v) {
 
 void Writer::put_string(const std::string& s) {
   put_u64(s.size());
-  append(s.data(), s.size());
+  if (!s.empty()) std::memcpy(extend(s.size()), s.data(), s.size());
 }
 
 void Writer::put_bytes(const void* data, std::size_t bytes) {
   put_u64(bytes);
-  append(data, bytes);
+  if (bytes > 0) std::memcpy(extend(bytes), data, bytes);
 }
 
 void Writer::put_rng(const Rng& rng) {

@@ -52,14 +52,20 @@ inline constexpr std::uint32_t kEndChunk = chunk_id("END ");
 
 /// Serializes one snapshot into a growing byte buffer.  All multi-byte
 /// values are little-endian; every primitive must be written inside an
-/// open chunk.
+/// open chunk.  Puts write in place at a cursor into storage that grows
+/// geometrically; a caller that can count its payload calls reserve()
+/// once first.
 class Writer {
  public:
   void begin_chunk(std::uint32_t id);
   /// Stamp the open chunk's payload size and CRC and pad to 8 bytes.
   void end_chunk();
 
-  void put_u8(std::uint8_t v) { append(&v, 1); }
+  /// Room for `bytes` more without regrowing (a sizing hint only: the
+  /// bytes written do not depend on it).
+  void reserve(std::size_t bytes);
+
+  void put_u8(std::uint8_t v);
   void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
   void put_i32(std::int32_t v) { put_u32(static_cast<std::uint32_t>(v)); }
@@ -79,9 +85,13 @@ class Writer {
   }
 
  private:
-  void append(const void* data, std::size_t bytes);
+  /// Advance the cursor by `bytes` and return where they go.
+  std::byte* extend(std::size_t bytes);
 
+  /// Inside a chunk buffer_ may run past the cursor; end_chunk() trims
+  /// it, so between chunks its size is exactly the bytes written.
   std::vector<std::byte> buffer_;
+  std::size_t end_ = 0;              ///< bytes written
   std::ptrdiff_t chunk_start_ = -1;  ///< offset of the open chunk header
 };
 

@@ -15,6 +15,10 @@
 #include "common/rng.hpp"
 #include "topo/graph.hpp"
 
+namespace quartz::wavelength {
+struct Assignment;  // wavelength/lightpath.hpp
+}  // namespace quartz::wavelength
+
 namespace quartz::topo {
 
 struct CompositeMeta;  // topo/composite.hpp
@@ -149,6 +153,13 @@ BuiltTopology quartz_ring(const QuartzRingParams& params);
 /// Returns the number of physical rings the plan consumed.
 int add_quartz_mesh(Graph& graph, const std::vector<NodeId>& ring, BitsPerSecond rate,
                     TimePs propagation, int channels_per_mux, int phys_ring_base = 0);
+
+/// Same, with the channel plan supplied: `plan` must be the greedy plan
+/// for ring.size() switches.  The plan depends only on the ring size,
+/// so a builder meshing many equal rings computes it once.
+int add_quartz_mesh(Graph& graph, const std::vector<NodeId>& ring,
+                    const wavelength::Assignment& plan, BitsPerSecond rate, TimePs propagation,
+                    int channels_per_mux, int phys_ring_base = 0);
 
 /// Fig. 15(b): 3-tier tree whose core switches are replaced by one
 /// Quartz ring; every aggregation switch gets one fabric-rate link to a

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "wavelength/assign.hpp"
 
 namespace quartz::topo {
 namespace {
@@ -125,41 +126,32 @@ BuiltTopology compose_in_ring(std::vector<BuiltTopology> elements, const Compose
   out.name = params.name;
   Graph& g = out.graph;
 
-  // --- splice every element's graph and role lists.
-  std::vector<NodeId> node_base(static_cast<std::size_t>(n));
+  // --- splice every element's graph and role lists.  The parent is
+  // sized once, then each child graph is moved in behind the previous
+  // one with its racks and physical rings re-based past its siblings'.
+  std::size_t total_nodes = 0;
+  std::size_t total_links = static_cast<std::size_t>(n) * static_cast<std::size_t>(n - 1) / 2 *
+                            static_cast<std::size_t>(params.trunks_per_pair);
+  std::size_t total_models = 0;
+  for (const auto& e : elements) {
+    total_nodes += e.graph.node_count();
+    total_links += e.graph.link_count();
+    total_models += e.graph.models().size();
+  }
+  g.reserve(total_nodes, total_links, total_models);
+
+  std::vector<NodeId> node_base(static_cast<std::size_t>(n) + 1);
   std::vector<LinkId> link_base(static_cast<std::size_t>(n));
   int rack_cursor = 0;
   int phys_cursor = 0;
   for (int i = 0; i < n; ++i) {
-    const BuiltTopology& e = elements[static_cast<std::size_t>(i)];
-    const Graph& cg = e.graph;
-    node_base[static_cast<std::size_t>(i)] = static_cast<NodeId>(g.node_count());
-    link_base[static_cast<std::size_t>(i)] = static_cast<LinkId>(g.link_count());
-    const NodeId nbase = node_base[static_cast<std::size_t>(i)];
-
-    std::vector<int> model_map;
-    model_map.reserve(cg.models().size());
-    for (const SwitchModel& model : cg.models()) model_map.push_back(g.add_model(model));
-
-    int max_rack = -1;
-    for (const Node& node : cg.nodes()) {
-      const int rack = node.rack < 0 ? -1 : rack_cursor + node.rack;
-      if (node.kind == NodeKind::kHost) {
-        g.add_host(node.label, rack);
-      } else {
-        g.add_switch(model_map[static_cast<std::size_t>(node.model)], node.label, rack);
-      }
-      max_rack = std::max(max_rack, node.rack);
-    }
-    rack_cursor += max_rack + 1;
-
-    int max_phys = -1;
-    for (const Link& link : cg.links()) {
-      g.add_link(nbase + link.a, nbase + link.b, link.rate, link.propagation,
-                 link.wdm_ring < 0 ? -1 : phys_cursor + link.wdm_ring, link.wdm_channel);
-      max_phys = std::max(max_phys, link.wdm_ring);
-    }
-    phys_cursor += max_phys + 1;
+    BuiltTopology& e = elements[static_cast<std::size_t>(i)];
+    const Graph::Splice at = g.append(std::move(e.graph), rack_cursor, phys_cursor);
+    node_base[static_cast<std::size_t>(i)] = at.node_base;
+    link_base[static_cast<std::size_t>(i)] = at.link_base;
+    rack_cursor += at.racks;
+    phys_cursor += at.wdm_rings;
+    const NodeId nbase = at.node_base;
 
     for (const NodeId h : e.hosts) out.hosts.push_back(nbase + h);
     for (const NodeId t : e.tors) out.tors.push_back(nbase + t);
@@ -176,6 +168,7 @@ BuiltTopology compose_in_ring(std::vector<BuiltTopology> elements, const Compose
       for (const NodeId h : group) mapped.push_back(nbase + h);
     }
   }
+  node_base[static_cast<std::size_t>(n)] = static_cast<NodeId>(g.node_count());
 
   // --- trunk mesh between every element pair, gateway ports rotating
   // round-robin over each element's ToRs.
@@ -231,10 +224,12 @@ BuiltTopology compose_in_ring(std::vector<BuiltTopology> elements, const Compose
   for (int i = 0; i < n; ++i) {
     const BuiltTopology& e = elements[static_cast<std::size_t>(i)];
     const NodeId nbase = node_base[static_cast<std::size_t>(i)];
-    const std::size_t child_nodes = e.graph.node_count();
+    const auto child_nodes =
+        static_cast<std::size_t>(node_base[static_cast<std::size_t>(i) + 1] - nbase);
     if (all_plain) {
       // slot of each switch within the child's ring; hosts inherit
-      // their attachment switch's slot.
+      // their attachment switch's slot.  A host's first port is its
+      // own access link (trunks only land on ToRs, after it).
       std::vector<std::int32_t> slot(child_nodes, -1);
       const auto& ring = e.quartz_rings[0];
       for (std::size_t s = 0; s < ring.size(); ++s) {
@@ -243,9 +238,9 @@ BuiltTopology compose_in_ring(std::vector<BuiltTopology> elements, const Compose
       for (std::size_t v = 0; v < child_nodes; ++v) {
         std::int32_t sl = slot[v];
         if (sl < 0) {
-          const auto peers = e.graph.neighbors(static_cast<NodeId>(v));
+          const auto peers = g.neighbors(nbase + static_cast<NodeId>(v));
           QUARTZ_CHECK(!peers.empty(), "unattached host in ring element");
-          sl = slot[static_cast<std::size_t>(peers[0].peer)];
+          sl = slot[static_cast<std::size_t>(peers[0].peer - nbase)];
         }
         const std::size_t at = (static_cast<std::size_t>(nbase) + v) * 2;
         meta->path[at] = i;
@@ -334,12 +329,18 @@ namespace {
 
 /// One leaf Quartz ring with short labels and per-switch racks; hosts
 /// are materialized per the spec plus the foreground-slot override.
-BuiltTopology build_leaf_ring(const CompositeParams& params, std::int64_t leaf,
-                              std::int64_t* foreground_cursor) {
+/// `plan` is the greedy channel plan for the leaf ring size, shared by
+/// every leaf.
+BuiltTopology build_leaf_ring(const CompositeParams& params, const wavelength::Assignment& plan,
+                              std::int64_t leaf, std::int64_t* foreground_cursor) {
   const int m = params.spec.dims.back();
   BuiltTopology topo;
   topo.name = "leaf-ring";
   Graph& g = topo.graph;
+  const auto hosts_per_ring =
+      static_cast<std::size_t>(m) * static_cast<std::size_t>(params.spec.hosts_per_switch);
+  g.reserve(static_cast<std::size_t>(m) + hosts_per_ring,
+            static_cast<std::size_t>(wavelength::pair_count(m)) + hosts_per_ring, 1);
   const int model = g.add_model(params.switch_model);
   const std::string prefix = "L" + std::to_string(leaf);
   std::vector<NodeId> ring;
@@ -359,7 +360,7 @@ BuiltTopology build_leaf_ring(const CompositeParams& params, std::int64_t leaf,
       topo.hosts.push_back(host);
     }
   }
-  add_quartz_mesh(g, ring, params.mesh_rate, params.links.fabric_propagation,
+  add_quartz_mesh(g, ring, plan, params.mesh_rate, params.links.fabric_propagation,
                   params.channels_per_mux);
   topo.quartz_rings.push_back(std::move(ring));
   if (!topo.hosts.empty()) topo.host_groups.push_back(topo.hosts);
@@ -389,13 +390,17 @@ BuiltTopology build_composite(const CompositeParams& params) {
   std::int64_t leaf_count = 1;
   for (std::size_t l = 0; l + 1 < spec.dims.size(); ++l) leaf_count *= spec.dims[l];
 
+  // The leaf channel plan depends only on the ring size: plan it once.
+  const bool rings = spec.kind == "ring-of-rings";
+  const wavelength::Assignment leaf_plan =
+      rings ? wavelength::greedy_assign(spec.dims.back()) : wavelength::Assignment{};
+
   std::vector<BuiltTopology> elements;
   elements.reserve(static_cast<std::size_t>(leaf_count));
   std::int64_t foreground_cursor = 0;
   for (std::int64_t e = 0; e < leaf_count; ++e) {
-    elements.push_back(spec.kind == "ring-of-trees"
-                           ? build_leaf_tree(params, e)
-                           : build_leaf_ring(params, e, &foreground_cursor));
+    elements.push_back(rings ? build_leaf_ring(params, leaf_plan, e, &foreground_cursor)
+                             : build_leaf_tree(params, e));
   }
 
   ComposeParams compose;

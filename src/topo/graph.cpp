@@ -1,6 +1,8 @@
 #include "topo/graph.hpp"
 
-#include <deque>
+#include <algorithm>
+#include <iterator>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -94,23 +96,73 @@ void Graph::validate() const {
     }
   }
 
-  // Connectivity by BFS from node 0.
-  std::vector<bool> seen(nodes_.size(), false);
-  std::deque<NodeId> queue{0};
-  seen[0] = true;
-  std::size_t visited = 1;
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (const auto& adj : adjacency_[static_cast<std::size_t>(u)]) {
-      if (!seen[static_cast<std::size_t>(adj.peer)]) {
-        seen[static_cast<std::size_t>(adj.peer)] = true;
-        ++visited;
+  // Connectivity by BFS from node 0.  The queue is a flat array that
+  // ends up holding every visited node once, so its size is the count.
+  std::vector<unsigned char> seen(nodes_.size(), 0);
+  std::vector<NodeId> queue;
+  queue.reserve(nodes_.size());
+  queue.push_back(0);
+  seen[0] = 1;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (const auto& adj : adjacency_[static_cast<std::size_t>(queue[head])]) {
+      unsigned char& mark = seen[static_cast<std::size_t>(adj.peer)];
+      if (mark == 0) {
+        mark = 1;
         queue.push_back(adj.peer);
       }
     }
   }
-  QUARTZ_CHECK(visited == nodes_.size(), "graph is disconnected");
+  QUARTZ_CHECK(queue.size() == nodes_.size(), "graph is disconnected");
+}
+
+void Graph::reserve(std::size_t nodes, std::size_t links, std::size_t models) {
+  nodes_.reserve(nodes_.size() + nodes);
+  adjacency_.reserve(adjacency_.size() + nodes);
+  links_.reserve(links_.size() + links);
+  models_.reserve(models_.size() + models);
+}
+
+Graph::Splice Graph::append(Graph&& child, int rack_base, int wdm_ring_base) {
+  QUARTZ_REQUIRE(&child != this, "a graph cannot be appended to itself");
+  Splice at;
+  at.node_base = static_cast<NodeId>(nodes_.size());
+  at.link_base = static_cast<LinkId>(links_.size());
+  const int model_base = static_cast<int>(models_.size());
+
+  models_.insert(models_.end(), std::make_move_iterator(child.models_.begin()),
+                 std::make_move_iterator(child.models_.end()));
+
+  int max_rack = -1;
+  for (Node& n : child.nodes_) {
+    max_rack = std::max(max_rack, n.rack);
+    n.id += at.node_base;
+    if (n.kind == NodeKind::kSwitch) n.model += model_base;
+    if (n.rack >= 0) n.rack += rack_base;
+    nodes_.push_back(std::move(n));
+  }
+  at.racks = max_rack + 1;
+
+  int max_ring = -1;
+  for (Link link : child.links_) {
+    max_ring = std::max(max_ring, link.wdm_ring);
+    link.id += at.link_base;
+    link.a += at.node_base;
+    link.b += at.node_base;
+    if (link.wdm_ring >= 0) link.wdm_ring += wdm_ring_base;
+    links_.push_back(link);
+  }
+  at.wdm_rings = max_ring + 1;
+
+  for (auto& ports : child.adjacency_) {
+    for (Adjacency& adj : ports) {
+      adj.link += at.link_base;
+      adj.peer += at.node_base;
+    }
+    adjacency_.push_back(std::move(ports));
+  }
+
+  child = Graph{};
+  return at;
 }
 
 }  // namespace quartz::topo

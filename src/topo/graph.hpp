@@ -66,6 +66,30 @@ class Graph {
   LinkId add_link(NodeId a, NodeId b, BitsPerSecond rate, TimePs propagation,
                   int wdm_ring = -1, int wdm_channel = -1);
 
+  /// Reserve room for `nodes`, `links` and `models` more entries, so a
+  /// builder that knows its final size grows each table once.
+  void reserve(std::size_t nodes, std::size_t links, std::size_t models);
+
+  /// Where append() placed a child graph.
+  struct Splice {
+    NodeId node_base = 0;   ///< child node v is node_base + v here
+    LinkId link_base = 0;   ///< child link k is link_base + k here
+    int racks = 0;          ///< child's highest rack + 1 (0 when none set)
+    int wdm_rings = 0;      ///< child's highest wdm_ring + 1 (0 when none set)
+  };
+
+  /// Move every model, node and link of `child` onto the end of this
+  /// graph.  Node, link and model ids shift by this graph's current
+  /// counts; assigned racks shift by `rack_base` and assigned physical
+  /// rings by `wdm_ring_base` (-1 stays -1); labels, rates, channels and
+  /// each node's adjacency order carry over unchanged.  The result is
+  /// exactly what re-adding the child's models, nodes and links in id
+  /// order through add_model/add_host/add_switch/add_link would give,
+  /// without copying a label or rebuilding an adjacency list.  `child`
+  /// is left empty.  Splicing several children: reserve() their total
+  /// first, so the tables grow once.
+  Splice append(Graph&& child, int rack_base, int wdm_ring_base);
+
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t link_count() const { return links_.size(); }
   const Node& node(NodeId id) const;

@@ -109,6 +109,59 @@ TEST(Graph, WdmMetadataStored) {
   EXPECT_EQ(g.link(l).wdm_channel, 42);
 }
 
+TEST(Graph, AppendShiftsIdsRacksModelsAndRings) {
+  Graph parent = two_hosts_one_switch();
+  parent.add_model(SwitchModel::ccs());
+
+  Graph child;
+  const int ull = child.add_model(SwitchModel::ull());
+  const NodeId s0 = child.add_switch(ull, "c.s0", 2);
+  const NodeId s1 = child.add_switch(ull, "c.s1");  // no rack
+  const NodeId h = child.add_host("c.h", 0);
+  child.add_link(s0, s1, gigabits_per_second(10), 7, /*wdm_ring=*/3, /*wdm_channel=*/5);
+  child.add_link(h, s1, gigabits_per_second(1), 9);
+
+  const Graph::Splice at = parent.append(std::move(child), /*rack_base=*/10, /*wdm_ring_base=*/4);
+  EXPECT_EQ(child.node_count(), 0u);
+  EXPECT_EQ(at.node_base, 3);
+  EXPECT_EQ(at.link_base, 2);
+  EXPECT_EQ(at.racks, 3);      // highest child rack 2, plus one
+  EXPECT_EQ(at.wdm_rings, 4);  // highest child ring 3, plus one
+
+  ASSERT_EQ(parent.node_count(), 6u);
+  ASSERT_EQ(parent.link_count(), 4u);
+  ASSERT_EQ(parent.models().size(), 3u);
+  EXPECT_EQ(parent.models()[2].name, SwitchModel::ull().name);
+  EXPECT_EQ(parent.node(3).label, "c.s0");
+  EXPECT_EQ(parent.node(3).id, 3);
+  EXPECT_EQ(parent.node(3).model, 2);
+  EXPECT_EQ(parent.node(3).rack, 12);
+  EXPECT_EQ(parent.node(4).rack, -1);
+  EXPECT_EQ(parent.node(5).rack, 10);
+  EXPECT_TRUE(parent.is_host(5));
+
+  const Link& mesh = parent.link(2);
+  EXPECT_EQ(mesh.id, 2);
+  EXPECT_EQ(mesh.a, 3);
+  EXPECT_EQ(mesh.b, 4);
+  EXPECT_EQ(mesh.propagation, 7);
+  EXPECT_EQ(mesh.wdm_ring, 7);
+  EXPECT_EQ(mesh.wdm_channel, 5);
+  EXPECT_EQ(parent.link(3).wdm_ring, -1);
+
+  const auto ports = parent.neighbors(4);
+  ASSERT_EQ(ports.size(), 2u);
+  EXPECT_EQ(ports[0].link, 2);
+  EXPECT_EQ(ports[0].peer, 3);
+  EXPECT_EQ(ports[1].link, 3);
+  EXPECT_EQ(ports[1].peer, 5);
+
+  // Links added after the splice land behind the spliced ports.
+  parent.add_link(0, 3, gigabits_per_second(40), 0);
+  EXPECT_EQ(parent.neighbors(3).back().link, 4);
+  parent.validate();
+}
+
 TEST(SwitchModels, Table16Specs) {
   const SwitchModel ull = SwitchModel::ull();
   EXPECT_EQ(ull.latency, nanoseconds(380));
