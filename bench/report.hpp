@@ -22,6 +22,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -268,6 +270,48 @@ class TimingCollector : public ::benchmark::ConsoleReporter {
 };
 
 inline void print_note(const std::string& note) { Report::instance().note(note); }
+
+/// The distribution of per-pair wall-clock ratios from paired_ratio().
+struct PairedRatio {
+  std::vector<double> ratios;  ///< time(a) / time(b), one per pair, in run order
+  double median = 0;
+  double q1 = 0;  ///< lower quartile
+  double q3 = 0;  ///< upper quartile
+};
+
+/// Time `a` and `b` alternately (A B A B ...), `pairs` runs of each, and
+/// return the median of the per-pair ratios time(a) / time(b) with its
+/// quartiles.  Each ratio compares two back-to-back runs, so host drift
+/// slower than one pair cancels instead of moving the result; a ratio
+/// above 1 means `b` is faster.
+template <typename A, typename B>
+PairedRatio paired_ratio(int pairs, A&& a, B&& b) {
+  auto seconds = [](auto& fn) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  };
+  PairedRatio out;
+  for (int i = 0; i < pairs; ++i) {
+    const double ta = seconds(a);
+    const double tb = seconds(b);
+    out.ratios.push_back(tb > 0 ? ta / tb : 0.0);
+  }
+  std::vector<double> sorted = out.ratios;
+  std::sort(sorted.begin(), sorted.end());
+  // Linear interpolation between closest ranks.
+  auto quantile = [&sorted](double q) {
+    if (sorted.empty()) return 0.0;
+    const double rank = q * static_cast<double>(sorted.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    return sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - static_cast<double>(lo));
+  };
+  out.median = quantile(0.5);
+  out.q1 = quantile(0.25);
+  out.q3 = quantile(0.75);
+  return out;
+}
 
 /// Standard main body: report first, micro-benchmarks second, then the
 /// BENCH_<id>.json artifact.

@@ -295,10 +295,6 @@ ShardedStormRun::ShardedStormRun(const ShardedStormParams& params)
 
 ShardedStormRun::~ShardedStormRun() = default;
 
-const sim::PartitionPlan& ShardedStormRun::plan() const { return sim_->plan(); }
-
-TimePs ShardedStormRun::now() const { return sim_->now(); }
-
 void ShardedStormRun::arm() {
   QUARTZ_REQUIRE(!armed_, "a sharded storm arms exactly once (restore replaces arm)");
   armed_ = true;

@@ -96,8 +96,6 @@ class ShardedStormRun final {
   void arm();
   /// Advance all shards to `end` through conservative windows.
   void run_to(TimePs end);
-  TimePs now() const;
-
   /// Serialize the run at the current window barrier: the shard-layout
   /// chunk followed by each shard's component + engine chunks.  Only
   /// legal between run_to calls (mailboxes quiesced — asserted).
@@ -109,8 +107,6 @@ class ShardedStormRun final {
 
   /// Drain to params.run_until and merge the per-shard digests.
   ShardedStormResult finish();
-
-  const sim::PartitionPlan& plan() const;
 
  private:
   class StormShard;

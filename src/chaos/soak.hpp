@@ -158,12 +158,4 @@ struct StormReport {
 /// Run one storm to completion and judge its invariants.
 StormReport run_storm(const StormParams& params);
 
-/// Run `storms` storms with seeds base.seed, base.seed+1, ... — the
-/// seeded sweep CI runs nightly.  Each storm is a pure function of its
-/// params, so the sweep shards across `jobs` worker threads (one
-/// engine per worker, sim::SweepRunner) and the report vector is
-/// byte-identical for every jobs value; jobs <= 0 uses every hardware
-/// thread.
-std::vector<StormReport> run_sweep(const StormParams& base, int storms, int jobs = 1);
-
 }  // namespace quartz::chaos

@@ -59,13 +59,6 @@ bool Flags::get_bool(const std::string& key, bool fallback) const {
   return it->second != "false" && it->second != "0";
 }
 
-std::vector<std::string> Flags::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [key, value] : values_) out.push_back(key);
-  return out;
-}
-
 std::vector<std::string> Flags::unknown_keys(const std::vector<std::string>& known) const {
   std::vector<std::string> out;
   for (const auto& [key, value] : values_) {

@@ -32,9 +32,6 @@ class Flags {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Keys that were parsed; lets a tool verify against its known set.
-  std::vector<std::string> keys() const;
-
   /// Parsed keys not in `known` — non-empty means the user made a typo.
   std::vector<std::string> unknown_keys(const std::vector<std::string>& known) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/check.hpp"
 
@@ -69,11 +68,6 @@ double RunningStats::max() const {
   return max_;
 }
 
-double RunningStats::confidence_half_width(double level) const {
-  if (count_ < 2) return 0.0;
-  return z_for_level(level) * stddev() / std::sqrt(static_cast<double>(count_));
-}
-
 void SampleSet::add(double x) {
   samples_.push_back(x);
   sorted_valid_ = false;
@@ -128,45 +122,6 @@ double SampleSet::percentile(double p) const {
 double SampleSet::confidence_half_width(double level) const {
   if (samples_.size() < 2) return 0.0;
   return z_for_level(level) * stddev() / std::sqrt(static_cast<double>(samples_.size()));
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bin_width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  QUARTZ_REQUIRE(hi > lo, "histogram range must be non-empty");
-  QUARTZ_REQUIRE(bins > 0, "histogram needs at least one bin");
-}
-
-void Histogram::add(double x) {
-  std::size_t idx;
-  if (x < lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / bin_width_);
-    idx = std::min(idx, counts_.size() - 1);
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bin_lower(std::size_t i) const {
-  QUARTZ_REQUIRE(i < counts_.size(), "bin index out of range");
-  return lo_ + bin_width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_upper(std::size_t i) const { return bin_lower(i) + bin_width_; }
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::uint64_t peak = 0;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = peak == 0 ? 0 : static_cast<std::size_t>(counts_[i] * width / peak);
-    os << "[" << bin_lower(i) << ", " << bin_upper(i) << ") "
-       << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace quartz

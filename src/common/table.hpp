@@ -1,4 +1,4 @@
-// Column-aligned plain-text and CSV table rendering.
+// Column-aligned plain-text table rendering.
 //
 // The bench binaries reproduce the paper's tables and figure series; a
 // shared renderer keeps their output uniform and machine-parseable.
@@ -31,8 +31,6 @@ class Table {
 
   /// Render with aligned columns and a header rule.
   std::string to_text() const;
-  /// Render as RFC-4180-ish CSV (quotes cells containing commas/quotes).
-  std::string to_csv() const;
 
  private:
   static std::string format_cell(const std::string& s) { return s; }

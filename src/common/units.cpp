@@ -29,11 +29,4 @@ std::string format_time(TimePs t) {
   return format_scaled(static_cast<double>(t), "ps");
 }
 
-std::string format_rate(BitsPerSecond rate) {
-  if (rate >= 1e9) return format_scaled(rate / 1e9, "Gb/s");
-  if (rate >= 1e6) return format_scaled(rate / 1e6, "Mb/s");
-  if (rate >= 1e3) return format_scaled(rate / 1e3, "kb/s");
-  return format_scaled(rate, "b/s");
-}
-
 }  // namespace quartz

@@ -67,7 +67,4 @@ constexpr TimePs transmission_time(Bits size, BitsPerSecond rate) {
 /// Pretty-print a time value with an adaptive unit ("3.42 us").
 std::string format_time(TimePs t);
 
-/// Pretty-print a rate value with an adaptive unit ("40 Gb/s").
-std::string format_rate(BitsPerSecond rate);
-
 }  // namespace quartz

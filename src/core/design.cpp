@@ -68,10 +68,4 @@ int max_single_tor_ports(int switch_ports) {
   return half * (half + 1);
 }
 
-int max_dual_tor_ports(int switch_ports) {
-  QUARTZ_REQUIRE(switch_ports >= 2, "switch needs at least two ports");
-  const int half = switch_ports / 2;
-  return half * (2 * half + 1);
-}
-
 }  // namespace quartz::core

@@ -58,8 +58,4 @@ QuartzDesign plan_design(const DesignParams& params);
 /// (p/2) * (p/2 + 1); 1056 for 64-port switches.
 int max_single_tor_ports(int switch_ports);
 
-/// Server ports with two ToR switches per rack and dual-homed servers:
-/// (p/2) * (2*(p/2) + 1); 2080 for 64-port switches.
-int max_dual_tor_ports(int switch_ports);
-
 }  // namespace quartz::core

@@ -41,16 +41,4 @@ const Channel& WavelengthGrid::channel(std::size_t i) const {
   return channels_[i];
 }
 
-std::string WavelengthGrid::name() const {
-  switch (kind_) {
-    case GridKind::kDwdm100GHz:
-      return "DWDM-100GHz/" + std::to_string(channels_.size());
-    case GridKind::kDwdm50GHz:
-      return "DWDM-50GHz/" + std::to_string(channels_.size());
-    case GridKind::kCwdm:
-      return "CWDM/" + std::to_string(channels_.size());
-  }
-  return "unknown";
-}
-
 }  // namespace quartz::optical

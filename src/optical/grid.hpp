@@ -38,9 +38,6 @@ class WavelengthGrid {
   const Channel& channel(std::size_t i) const;
   const std::vector<Channel>& channels() const { return channels_; }
 
-  /// Human-readable name, e.g. "DWDM-100GHz/80".
-  std::string name() const;
-
  private:
   WavelengthGrid(GridKind kind, std::vector<Channel> channels)
       : kind_(kind), channels_(std::move(channels)) {}

@@ -50,12 +50,6 @@ double flow_uniform(std::uint64_t flow_hash) {
   return static_cast<double>(salted >> 11) * 0x1.0p-53;
 }
 
-void RoutingOracle::set_soft_fail_threshold(double loss) {
-  QUARTZ_REQUIRE(loss >= 0.0 && loss < 1.0, "soft-fail threshold must be in [0,1)");
-  soft_fail_threshold_ = loss;
-  bump_version();
-}
-
 void RoutingOracle::compile_entry(topo::NodeId, std::int32_t, FibCompiler& out) const {
   out.emit_slow();
 }
@@ -75,7 +69,7 @@ topo::LinkId EcmpOracle::next_link(topo::NodeId node, FlowKey& key) const {
   const topo::LinkId chosen = select_alive(links, failure_view(), key.flow_hash,
                                            static_cast<std::uint64_t>(node), &any_alive);
   const double direct_loss = any_alive ? loss_of(chosen) : 1.0;
-  if (direct_loss <= soft_fail_threshold()) return chosen;
+  if (direct_loss <= kSoftFailLossThreshold) return chosen;
 
   // Every equal-cost next hop is known dead — or the choice is a gray
   // failure losing more than the soft-fail threshold: deflect one hop
@@ -126,7 +120,7 @@ void EcmpOracle::compile_entry(topo::NodeId node, std::int32_t group, FibCompile
     // may engage for some destinations.
     for (const topo::NodeId dst : routing.group_members(group)) {
       const topo::LinkId port = routing.host_link(dst);
-      if (link_dead(port) || link_loss(port) > soft_fail_threshold()) return out.emit_slow();
+      if (link_dead(port) || link_loss(port) > kSoftFailLossThreshold) return out.emit_slow();
     }
     out.set_clear_own_via();
     return out.emit_host_port();
@@ -144,7 +138,7 @@ void EcmpOracle::compile_entry(topo::NodeId node, std::int32_t group, FibCompile
   // per-flow deflection scan decides — stay slow.
   if (alive.empty()) return out.emit_slow();
   for (const topo::LinkId l : alive) {
-    if (link_loss(l) > soft_fail_threshold()) return out.emit_slow();
+    if (link_loss(l) > kSoftFailLossThreshold) return out.emit_slow();
   }
   out.set_clear_own_via();
   out.emit_ecmp(std::move(alive));
@@ -208,7 +202,7 @@ topo::LinkId MeshAwareOracle::heal_choice(topo::NodeId node, FlowKey& key,
                                           topo::LinkId chosen) const {
   const bool direct_dead = link_dead(chosen);
   const double direct_loss = direct_dead ? 1.0 : link_loss(chosen);
-  if (!direct_dead && direct_loss <= soft_fail_threshold()) return chosen;
+  if (!direct_dead && direct_loss <= kSoftFailLossThreshold) return chosen;
   const int r = ring_of(node);
   if (r < 0) return chosen;
   const topo::NodeId exit = routing().graph().link(chosen).other(node);
@@ -255,7 +249,7 @@ MeshAwareOracle::CandidateSet MeshAwareOracle::analyze_candidates(
   const int r = ring_of(node);
   const topo::Graph& graph = routing().graph();
   for (const topo::LinkId l : out.links) {
-    if (link_loss(l) > soft_fail_threshold()) out.clean = false;
+    if (link_loss(l) > kSoftFailLossThreshold) out.clean = false;
     if (r >= 0 && ring_of(graph.link(l).other(node)) == r) ++out.mesh_exits;
   }
   return out;
@@ -425,12 +419,6 @@ PinnedDetourOracle::RegroomResult PinnedDetourOracle::commit_regroom() {
   rebuild_pin_to_dst();
   bump_version();
   return result;
-}
-
-void PinnedDetourOracle::abort_regroom() {
-  QUARTZ_CHECK(regrooming_, "abort_regroom without an open transaction");
-  staged_.clear();
-  regrooming_ = false;
 }
 
 void PinnedDetourOracle::rebuild_pin_to_dst() {

@@ -66,12 +66,9 @@ class RoutingOracle {
     bump_version();
   }
 
-  /// Throws std::invalid_argument unless `loss` is in [0, 1).
-  void set_soft_fail_threshold(double loss);
-
   /// Monotone counter covering everything next_link's answers can
   /// depend on: the attached views' epochs plus a local version bumped
-  /// by every oracle reconfiguration (attach, threshold, pins, probe).
+  /// by every oracle reconfiguration (attach, pins, probe).
   /// The compiled FIB tags each entry with the epoch it was compiled
   /// at and recompiles lazily on mismatch.  Starts above zero so a
   /// never-compiled entry (epoch 0) can never read as current.
@@ -94,7 +91,6 @@ class RoutingOracle {
   void bump_version() { ++local_version_; }
 
   const FailureView* failure_view() const { return view_; }
-  double soft_fail_threshold() const { return soft_fail_threshold_; }
   /// Known-dead according to the attached view (false when detached).
   bool link_dead(topo::LinkId link) const { return view_ != nullptr && view_->is_dead(link); }
   /// Observed loss of a link (0 when no loss view is attached).
@@ -104,13 +100,12 @@ class RoutingOracle {
   /// True when the link should be routed around: known dead, or
   /// observed loss above the soft-fail threshold.
   bool link_soft_failed(topo::LinkId link) const {
-    return link_dead(link) || link_loss(link) > soft_fail_threshold_;
+    return link_dead(link) || link_loss(link) > kSoftFailLossThreshold;
   }
 
  private:
   const FailureView* view_ = nullptr;
   const LossView* loss_view_ = nullptr;
-  double soft_fail_threshold_ = kSoftFailLossThreshold;
   std::uint64_t local_version_ = 1;
 };
 
@@ -263,8 +258,6 @@ class PinnedDetourOracle : public MeshAwareOracle {
   /// and the pair keeps its previous route (break nothing until the
   /// replacement is made).  Exactly one epoch bump per commit.
   RegroomResult commit_regroom();
-  /// Discard the staged plan without touching live state.
-  void abort_regroom();
   bool regrooming() const { return regrooming_; }
   /// Live pin count (post-commit view).
   std::size_t pin_count() const { return pinned_.size(); }

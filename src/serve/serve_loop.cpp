@@ -426,10 +426,10 @@ void ServeLoop::save_snapshot(snapshot::Writer& w) const {
   // Pre-size from the counts the snapshot grows with, so the buffer
   // grows once: a call record is 49 bytes, a trace record 20, a pin 8;
   // the SLO tracker keeps up to two f64 samples per completion; a line
-  // pair costs 62 bytes and a pending event at most 122 (a packet).
+  // pair costs 30 bytes and a pending event at most 122 (a packet).
   // 4 KiB covers the fixed-size fields and chunk headers.
   w.reserve(4096 + 49 * outstanding_.size() + 20 * trace_.size() + 8 * live_pins_.size() +
-            16 * slo_.total_completed() + 62 * topo_.graph.link_count() +
+            16 * slo_.total_completed() + 30 * topo_.graph.link_count() +
             122 * network_->engine().size());
 
   // Config echo: restore refuses a snapshot from a different service.

@@ -54,20 +54,6 @@ std::string pattern_name(Pattern pattern) {
   return "unknown";
 }
 
-std::string prototype_name(PrototypeFabric fabric) {
-  return fabric == PrototypeFabric::kTwoTierTree ? "two-tier tree" : "quartz";
-}
-
-std::string core_kind_name(CoreKind kind) {
-  switch (kind) {
-    case CoreKind::kNonBlockingSwitch: return "non-blocking switch";
-    case CoreKind::kQuartzEcmp: return "quartz in core (ECMP)";
-    case CoreKind::kQuartzVlb: return "quartz in core (VLB)";
-    case CoreKind::kQuartzAdaptive: return "quartz in core (adaptive VLB)";
-  }
-  return "unknown";
-}
-
 BuiltFabric build_fabric(Fabric fabric, const FabricConfig& config) {
   BuiltFabric built;
   switch (fabric) {

@@ -196,8 +196,6 @@ ReplicaSweepResult run_task_replicas(Fabric fabric, const FabricConfig& config,
 
 enum class PrototypeFabric { kTwoTierTree, kQuartz };
 
-std::string prototype_name(PrototypeFabric fabric);
-
 struct CrossTrafficParams {
   /// Per-source cross-traffic bandwidth (the paper sweeps 0-200 Mb/s,
   /// i.e. 0-20% of the 1 Gb/s links).
@@ -222,8 +220,6 @@ CrossTrafficResult run_cross_traffic(PrototypeFabric fabric, const CrossTrafficP
 // Fig. 20 — pathological switch-to-switch hotspot
 
 enum class CoreKind { kNonBlockingSwitch, kQuartzEcmp, kQuartzVlb, kQuartzAdaptive };
-
-std::string core_kind_name(CoreKind kind);
 
 struct PathologicalParams {
   double aggregate_gbps = 10.0;  ///< total S1->S2 offered load (paper: 10-50)

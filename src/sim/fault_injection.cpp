@@ -9,7 +9,6 @@
 namespace quartz::sim {
 namespace {
 
-constexpr double kHoursPerYear = 8766.0;
 constexpr double kPsPerHour = 3600.0 * 1e12;
 
 TimePs exponential_delay(Rng& rng, double mean_ps) {
@@ -17,21 +16,6 @@ TimePs exponential_delay(Rng& rng, double mean_ps) {
 }
 
 }  // namespace
-
-PoissonFaultParams PoissonFaultParams::from_availability(const core::AvailabilityParams& params,
-                                                         TimePs start, TimePs stop) {
-  QUARTZ_REQUIRE(params.cuts_per_km_per_year > 0, "cut rate must be positive");
-  QUARTZ_REQUIRE(params.span_km > 0, "fiber span must be positive");
-  QUARTZ_REQUIRE(params.mttr_hours > 0, "repair time must be positive");
-  QUARTZ_REQUIRE(stop > start, "timeline must have a positive duration");
-  PoissonFaultParams out;
-  out.failures_per_link_per_hour =
-      params.cuts_per_km_per_year * params.span_km / kHoursPerYear;
-  out.mean_repair_hours = params.mttr_hours;
-  out.start = start;
-  out.stop = stop;
-  return out;
-}
 
 void FaultScheduler::require_valid_link(topo::LinkId link) const {
   QUARTZ_REQUIRE(

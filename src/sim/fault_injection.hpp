@@ -1,7 +1,7 @@
 // Live fault injection for the packet simulator — §3.5 made dynamic.
 //
 // core::analyze_faults answers "what if k fibers are cut right now"
-// combinatorially and topo::survive_fiber_cuts rebuilds a degraded
+// combinatorially and topo::try_survive_fiber_cuts rebuilds a degraded
 // fabric before any packets fly.  The FaultScheduler instead makes
 // failures, detection and recovery first-class events inside the DES:
 // it scripts (or Poisson-samples) cut/repair timelines against a live
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/fault.hpp"
 #include "sim/network.hpp"
 #include "telemetry/metrics.hpp"
 #include "topo/failures.hpp"
@@ -34,12 +33,6 @@ struct PoissonFaultParams {
   double mean_repair_hours = 8.0;
   TimePs start = 0;
   TimePs stop = seconds(1);
-
-  /// Derive the per-link rates from the steady-state availability
-  /// model (core::analyze_availability): each fiber segment fails at
-  /// cuts_per_km_per_year x span_km and stays down mttr_hours.
-  static PoissonFaultParams from_availability(const core::AvailabilityParams& params,
-                                              TimePs start, TimePs stop);
 };
 
 class FaultScheduler : public TimerHandler {

@@ -36,8 +36,6 @@ Network::Network(const topo::BuiltTopology& topo, const routing::RoutingOracle& 
       oracle_(&oracle),
       config_(config),
       line_busy_(topo.graph.link_count() * 2, 0),
-      line_active_(topo.graph.link_count() * 2, 0),
-      line_bits_(topo.graph.link_count() * 2, 0),
       link_up_(topo.graph.link_count(), 1),
       link_seq_(topo.graph.link_count(), 0),
       link_loss_(topo.graph.link_count(), 0.0),
@@ -185,19 +183,6 @@ int Network::new_task(DeliveryHandler handler) {
 std::uint64_t Network::task_drops(int task) const {
   QUARTZ_REQUIRE(task >= 0 && task < static_cast<int>(task_drops_.size()), "unknown task");
   return task_drops_[static_cast<std::size_t>(task)];
-}
-
-Bits Network::bits_sent(topo::LinkId link, int direction) const {
-  QUARTZ_REQUIRE(direction == 0 || direction == 1, "direction is 0 or 1");
-  return line_bits_[static_cast<std::size_t>(link) * 2 + static_cast<std::size_t>(direction)];
-}
-
-double Network::utilization(topo::LinkId link, int direction) const {
-  QUARTZ_REQUIRE(direction == 0 || direction == 1, "direction is 0 or 1");
-  if (now() == 0) return 0.0;
-  const TimePs active =
-      line_active_[static_cast<std::size_t>(link) * 2 + static_cast<std::size_t>(direction)];
-  return static_cast<double>(std::min(active, now())) / static_cast<double>(now());
 }
 
 TimePs Network::queue_delay(topo::LinkId link, int direction) const {
@@ -378,8 +363,6 @@ void Network::transmit(Packet packet, topo::NodeId node, TimePs ready, TimePs mi
   }
   const TimePs finish = std::max(start + transmission_time(packet.size, link.rate), min_finish);
   busy_until = finish;
-  line_active_[line] += finish - start;
-  line_bits_[line] += packet.size;
   if (stream_ != nullptr) {
     stream_->on_transmit(packet, node, link_id, node == link.a ? 0 : 1, ready, start, finish);
   }
@@ -417,8 +400,6 @@ void Network::save(snapshot::Writer& w, const HandlerMap& handlers) const {
   const std::size_t links = link_up_.size();
   w.put_u64(links);
   for (std::size_t i = 0; i < links * 2; ++i) w.put_i64(line_busy_[i]);
-  for (std::size_t i = 0; i < links * 2; ++i) w.put_i64(line_active_[i]);
-  for (std::size_t i = 0; i < links * 2; ++i) w.put_i64(line_bits_[i]);
   for (std::size_t i = 0; i < links; ++i) w.put_u8(static_cast<std::uint8_t>(link_up_[i]));
   for (std::size_t i = 0; i < links; ++i) w.put_u32(link_seq_[i]);
   for (std::size_t i = 0; i < links; ++i) w.put_f64(link_loss_[i]);
@@ -450,8 +431,6 @@ void Network::restore(snapshot::Reader& r, const HandlerMap& handlers) {
   QUARTZ_REQUIRE(r.get_u64() == links,
                  "snapshot topology does not match this network");
   for (std::size_t i = 0; i < links * 2; ++i) line_busy_[i] = r.get_i64();
-  for (std::size_t i = 0; i < links * 2; ++i) line_active_[i] = r.get_i64();
-  for (std::size_t i = 0; i < links * 2; ++i) line_bits_[i] = r.get_i64();
   for (std::size_t i = 0; i < links; ++i) link_up_[i] = static_cast<char>(r.get_u8());
   for (std::size_t i = 0; i < links; ++i) link_seq_[i] = r.get_u32();
   for (std::size_t i = 0; i < links; ++i) link_loss_[i] = r.get_f64();

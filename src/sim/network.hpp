@@ -297,10 +297,6 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   /// Drops attributed to one task id.
   std::uint64_t task_drops(int task) const;
 
-  /// Bits put on a link direction so far (direction 0 = a->b).
-  Bits bits_sent(topo::LinkId link, int direction) const;
-  /// Fraction of [0, now] the link direction spent transmitting.
-  double utilization(topo::LinkId link, int direction) const;
   /// Instantaneous output-queue delay of a link direction (LoadProbe;
   /// lets AdaptiveVlbOracle steer around congested lightpaths).
   TimePs queue_delay(topo::LinkId link, int direction) const override;
@@ -352,9 +348,6 @@ class Network : public routing::LoadProbe, public routing::Clock, private EventH
   EventQueue events_;
   /// busy-until per (link, direction); direction 0 is a->b.
   std::vector<TimePs> line_busy_;
-  /// accumulated transmitting time and bits per (link, direction).
-  std::vector<TimePs> line_active_;
-  std::vector<Bits> line_bits_;
   /// Physical per-link liveness and a state sequence number bumped on
   /// every fail/repair: in-flight packets carry the sequence observed
   /// at transmission and are dropped when it changed under them; it

@@ -5,9 +5,6 @@
 
 namespace quartz::sim {
 
-ProbePlane::ProbePlane(Network& network, routing::HealthMonitor& monitor)
-    : ProbePlane(network, monitor, Options{}) {}
-
 ProbePlane::ProbePlane(Network& network, routing::HealthMonitor& monitor, Options options)
     : network_(network), monitor_(monitor), options_(options), rng_(options.seed) {
   QUARTZ_REQUIRE(options_.interval > 0, "probe interval must be positive");

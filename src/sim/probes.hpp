@@ -46,7 +46,6 @@ class ProbePlane : public ProbeHandler {
   /// Installs the monitor's transition/damp hooks so health events fan
   /// out to the network's telemetry sinks; set your own hooks after
   /// construction to override.
-  ProbePlane(Network& network, routing::HealthMonitor& monitor);
   ProbePlane(Network& network, routing::HealthMonitor& monitor, Options options);
   ProbePlane(const ProbePlane&) = delete;
   ProbePlane& operator=(const ProbePlane&) = delete;

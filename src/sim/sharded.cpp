@@ -262,18 +262,6 @@ void ShardedSim::visit(const std::function<void(int, Shard&)>& fn) {
   }
 }
 
-std::uint64_t ShardedSim::events_processed() {
-  std::uint64_t total = 0;
-  visit([&total](int, Shard& shard) { total += shard.network().events_processed(); });
-  return total;
-}
-
-std::uint64_t ShardedSim::mail_posted() {
-  std::uint64_t total = 0;
-  visit([&total](int, Shard& shard) { total += shard.network().mail_posted(); });
-  return total;
-}
-
 std::vector<WindowStats> ShardedSim::window_stats() const {
   std::vector<WindowStats> out;
   out.reserve(workers_.size());

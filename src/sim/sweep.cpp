@@ -17,10 +17,4 @@ int resolve_jobs(int jobs) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-RunningStats merged_stats(const std::vector<RunningStats>& parts) {
-  RunningStats merged;
-  for (const RunningStats& part : parts) merged.merge(part);
-  return merged;
-}
-
 }  // namespace quartz::sim

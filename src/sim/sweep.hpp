@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/stats.hpp"
 
 namespace quartz::sim {
 
@@ -131,10 +130,5 @@ class SweepRunner {
   int jobs_;
   std::uint64_t root_seed_;
 };
-
-/// Merge per-point accumulators into one (RunningStats::merge is
-/// associative, so the result is independent of how points were
-/// sharded across workers).
-RunningStats merged_stats(const std::vector<RunningStats>& parts);
 
 }  // namespace quartz::sim

@@ -305,42 +305,4 @@ void RandomPairSource::save(snapshot::Writer& w) const { w.put_rng(rng_); }
 
 void RandomPairSource::restore(snapshot::Reader& r) { r.get_rng(rng_); }
 
-namespace {
-
-void publish_task_metrics(telemetry::MetricRegistry& registry, const std::string& prefix,
-                          const SampleSet& samples, const RunningStats& queueing) {
-  telemetry::LatencyRecorder& latency = registry.latency(prefix + ".latency_us");
-  for (double s : samples.samples()) latency.add_us(s);
-  if (!queueing.empty()) registry.gauge(prefix + ".queueing_mean_us").set(queueing.mean());
-}
-
-}  // namespace
-
-void ScatterTask::publish_metrics(telemetry::MetricRegistry& registry,
-                                  const std::string& prefix) const {
-  publish_task_metrics(registry, prefix, samples_, queueing_);
-}
-
-void GatherTask::publish_metrics(telemetry::MetricRegistry& registry,
-                                 const std::string& prefix) const {
-  publish_task_metrics(registry, prefix, samples_, queueing_);
-}
-
-void ScatterGatherTask::publish_metrics(telemetry::MetricRegistry& registry,
-                                        const std::string& prefix) const {
-  publish_task_metrics(registry, prefix, samples_, queueing_);
-}
-
-void RpcWorkload::publish_metrics(telemetry::MetricRegistry& registry,
-                                  const std::string& prefix) const {
-  registry.counter(prefix + ".completed").inc(static_cast<std::uint64_t>(completed_));
-  registry.counter(prefix + ".abandoned").inc(static_cast<std::uint64_t>(abandoned_));
-  registry.counter(prefix + ".retries").inc(total_retries_);
-  registry.counter(prefix + ".retry_budget_denied").inc(budget_denied_);
-  telemetry::LatencyRecorder& rtt = registry.latency(prefix + ".rtt_us");
-  for (double s : rtts_.samples()) rtt.add_us(s);
-  telemetry::LatencyRecorder& recovery = registry.latency(prefix + ".recovery_us");
-  for (double s : recovery_us_.samples()) recovery.add_us(s);
-}
-
 }  // namespace quartz::sim

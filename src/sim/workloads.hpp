@@ -24,7 +24,6 @@
 #include "common/stats.hpp"
 #include "sim/network.hpp"
 #include "sim/retry_budget.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace quartz::sim {
 
@@ -78,9 +77,6 @@ class ScatterTask {
   const SampleSet& latencies_us() const { return samples_; }
   /// Output-queue waiting per packet (the congestion share).
   const RunningStats& queueing_us() const { return queueing_; }
-  /// Export the task's distributions under `<prefix>.latency_us` /
-  /// `<prefix>.queueing_mean_us`.
-  void publish_metrics(telemetry::MetricRegistry& registry, const std::string& prefix) const;
 
  private:
   SampleSet samples_;
@@ -98,7 +94,6 @@ class GatherTask {
 
   const SampleSet& latencies_us() const { return samples_; }
   const RunningStats& queueing_us() const { return queueing_; }
-  void publish_metrics(telemetry::MetricRegistry& registry, const std::string& prefix) const;
 
  private:
   SampleSet samples_;
@@ -126,7 +121,6 @@ class ScatterGatherTask final : public TimerHandler {
 
   const SampleSet& latencies_us() const { return samples_; }
   const RunningStats& queueing_us() const { return queueing_; }
-  void publish_metrics(telemetry::MetricRegistry& registry, const std::string& prefix) const;
 
  private:
   void on_timer(const TimerEvent& event) override;
@@ -197,9 +191,6 @@ class RpcWorkload final : public TimerHandler {
   /// Calls abandoned after max_retries (permanent failures).
   int abandoned_calls() const { return abandoned_; }
   bool done() const { return completed_ + abandoned_ >= params_.calls; }
-  /// Export call counters (`<prefix>.completed` / `.abandoned` /
-  /// `.retries`) and the RTT / recovery distributions.
-  void publish_metrics(telemetry::MetricRegistry& registry, const std::string& prefix) const;
 
  private:
   /// `a`/`b` carry the operands noted per tag.

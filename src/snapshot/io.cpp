@@ -158,11 +158,6 @@ void Writer::put_string(const std::string& s) {
   if (!s.empty()) std::memcpy(extend(s.size()), s.data(), s.size());
 }
 
-void Writer::put_bytes(const void* data, std::size_t bytes) {
-  put_u64(bytes);
-  if (bytes > 0) std::memcpy(extend(bytes), data, bytes);
-}
-
 void Writer::put_rng(const Rng& rng) {
   const RngState s = rng.state();
   for (const std::uint64_t word : s.word) put_u64(word);

@@ -38,7 +38,7 @@ namespace quartz::snapshot {
 
 inline constexpr std::array<char, 8> kFileMagic = {'Q', 'S', 'N', 'A',
                                                    'P', '\n', '0', '1'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Four-character chunk tag packed little-endian ("NETW" etc).
 constexpr std::uint32_t chunk_id(const char (&tag)[5]) {
@@ -73,7 +73,6 @@ class Writer {
   void put_f64(double v);
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
   void put_string(const std::string& s);
-  void put_bytes(const void* data, std::size_t bytes);
   void put_rng(const Rng& rng);
   void put_f64_vec(const std::vector<double>& v);
 

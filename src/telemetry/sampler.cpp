@@ -107,17 +107,6 @@ std::vector<BucketSummary> PeriodicSampler::summaries() const {
   return out;
 }
 
-void PeriodicSampler::write_csv(std::ostream& os) const {
-  os << "t_ms,delivered,mean_us,p50_us,p99_us,queue_drops,link_down_drops,corrupted_drops,"
-        "max_queue_wait_us\n";
-  for (const BucketSummary& s : summaries()) {
-    os << JsonValue(to_microseconds(s.start) / 1000.0).to_csv_cell() << "," << s.delivered << ","
-       << JsonValue(s.mean_us).to_csv_cell() << "," << JsonValue(s.p50_us).to_csv_cell() << ","
-       << JsonValue(s.p99_us).to_csv_cell() << "," << s.queue_drops << "," << s.link_down_drops
-       << "," << s.corrupted_drops << "," << JsonValue(s.max_queue_wait_us).to_csv_cell() << "\n";
-  }
-}
-
 const char* FaultTimeline::kind_name(Kind kind) {
   switch (kind) {
     case Kind::kCut:
@@ -224,14 +213,6 @@ std::vector<JsonRow> FaultTimeline::to_rows() const {
     rows.push_back(std::move(row));
   }
   return rows;
-}
-
-void FaultTimeline::write_jsonl(std::ostream& os) const {
-  for (const JsonRow& row : to_rows()) {
-    JsonWriter w(os, /*pretty=*/false);
-    write_row(w, row);
-    os << '\n';
-  }
 }
 
 }  // namespace quartz::telemetry

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <unordered_map>
 #include <vector>
 
@@ -66,10 +65,6 @@ class PeriodicSampler final : public TelemetrySink {
 
   std::size_t bucket_count() const { return buckets_.size(); }
   TimePs bucket_width() const { return options_.bucket; }
-
-  /// t_ms,delivered,mean_us,p50_us,p99_us,queue_drops,link_down_drops,
-  /// corrupted_drops,max_queue_wait_us — one row per bucket.
-  void write_csv(std::ostream& os) const;
 
   // --- TelemetrySink ---------------------------------------------------------
   void on_transmit(const sim::Packet& packet, topo::NodeId from, topo::LinkId link,
@@ -142,9 +137,6 @@ class FaultTimeline final : public TelemetrySink {
   /// see), microseconds.
   double mean_detection_lag_us() const;
 
-  /// One {"t_us", "link", "event"} object per line (degrade/damp rows
-  /// carry an extra "value" field).
-  void write_jsonl(std::ostream& os) const;
   std::vector<JsonRow> to_rows() const;
 
   // --- TelemetrySink ---------------------------------------------------------

@@ -160,35 +160,4 @@ std::vector<int> PacketTracer::tasks() const {
   return out;
 }
 
-void PacketTracer::write_jsonl(std::ostream& os) const {
-  for (const PacketTrace& t : kept_) {
-    JsonWriter w(os, /*pretty=*/false);
-    w.begin_object();
-    w.kv("packet", t.packet_id);
-    w.kv("task", t.task);
-    w.kv("created_us", to_microseconds(t.created));
-    w.kv("delivered_us", to_microseconds(t.delivered));
-    w.kv("total_us", to_microseconds(t.total()));
-    w.kv("host_us", to_microseconds(t.host));
-    w.kv("queueing_us", to_microseconds(t.queueing));
-    w.kv("serialization_us", to_microseconds(t.serialization));
-    w.kv("switching_us", to_microseconds(t.switching));
-    w.kv("propagation_us", to_microseconds(t.propagation));
-    w.key("hops").begin_array();
-    for (const HopRecord& hop : t.hops) {
-      w.begin_object();
-      w.kv("node", static_cast<std::int64_t>(hop.node));
-      w.kv("link", static_cast<std::int64_t>(hop.link));
-      w.kv("queue_wait_us", to_microseconds(hop.queue_wait));
-      w.kv("serialization_us", to_microseconds(hop.serialization));
-      w.kv("switching_us", to_microseconds(hop.switching));
-      w.kv("propagation_us", to_microseconds(hop.propagation));
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    os << '\n';
-  }
-}
-
 }  // namespace quartz::telemetry

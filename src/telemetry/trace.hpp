@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <unordered_map>
 #include <vector>
 
@@ -110,9 +109,6 @@ class PacketTracer final : public TelemetrySink {
   std::uint64_t dropped() const { return dropped_; }
   /// Sampled packets still in flight (or stranded at simulation end).
   std::size_t in_flight() const { return live_.size(); }
-
-  /// One JSON object per kept trace (JSONL), hops included.
-  void write_jsonl(std::ostream& os) const;
 
   // --- TelemetrySink ---------------------------------------------------------
   void on_send(const sim::Packet& packet, TimePs ready) override;

@@ -511,58 +511,6 @@ BuiltTopology quartz_in_jellyfish(const QuartzJellyfishParams& params) {
   return topo;
 }
 
-BuiltTopology quartz_dual_tor(const QuartzDualTorParams& params) {
-  QUARTZ_REQUIRE(params.racks >= 3, "dual-ToR mesh needs at least three racks");
-  QUARTZ_REQUIRE(params.racks % 2 == 1, "racks must be odd for an even plane split");
-  QUARTZ_REQUIRE(params.hosts_per_rack >= 1, "racks need hosts");
-
-  BuiltTopology topo;
-  topo.name = "quartz-dual-tor";
-  Graph& g = topo.graph;
-  const int model = g.add_model(params.switch_model);
-  const int racks = params.racks;
-
-  // Two switches per rack: plane A (tors) and plane B (aggs slot reused
-  // as the second plane for role bookkeeping).
-  std::vector<NodeId> plane_a, plane_b;
-  for (int r = 0; r < racks; ++r) {
-    const NodeId a = g.add_switch(model, "r" + num(r) + "A", r);
-    const NodeId b = g.add_switch(model, "r" + num(r) + "B", r);
-    plane_a.push_back(a);
-    plane_b.push_back(b);
-    topo.tors.push_back(a);
-    topo.tors.push_back(b);
-    std::vector<NodeId> rack_hosts;
-    for (int h = 0; h < params.hosts_per_rack; ++h) {
-      const NodeId host = g.add_host("r" + num(r) + "h" + num(h), r);
-      topo.hosts.push_back(host);
-      rack_hosts.push_back(host);
-      // Dual-homed: one NIC per plane.
-      g.add_link(host, a, params.links.host_rate, params.links.host_propagation);
-      g.add_link(host, b, params.links.host_rate, params.links.host_propagation);
-    }
-    topo.host_groups.push_back(std::move(rack_hosts));
-  }
-
-  // Rack pair (r, r+d) for d = 1..(racks-1)/2 rides plane A at r and
-  // plane B at r+d, giving every switch exactly (racks-1)/2 mesh ports
-  // and every rack pair exactly one lightpath.
-  const int half = (racks - 1) / 2;
-  for (int r = 0; r < racks; ++r) {
-    for (int d = 1; d <= half; ++d) {
-      const int s = (r + d) % racks;
-      g.add_link(plane_a[static_cast<std::size_t>(r)], plane_b[static_cast<std::size_t>(s)],
-                 params.mesh_rate, params.links.fabric_propagation);
-    }
-  }
-  // The two planes are each a rack-level mesh slice; record both for
-  // mesh-aware oracles.
-  topo.quartz_rings.push_back(plane_a);
-  topo.quartz_rings.push_back(plane_b);
-  g.validate();
-  return topo;
-}
-
 BuiltTopology single_switch(const SingleSwitchParams& params) {
   QUARTZ_REQUIRE(params.hosts >= 1, "needs hosts");
   BuiltTopology topo;

@@ -214,22 +214,6 @@ struct QuartzJellyfishParams {
 };
 BuiltTopology quartz_in_jellyfish(const QuartzJellyfishParams& params);
 
-/// §3.2's scaled-up configuration: two ToR switches per rack, servers
-/// dual-homed to both, and every rack pair joined by exactly one
-/// lightpath — split so each switch carries (racks-1)/2 mesh ports.
-/// With 64-port switches and 32 hosts per rack this reaches 65 racks =
-/// 2080 server ports ("at the cost of an additional switch per rack,
-/// and a second optical ring").  `racks` must be odd for the even
-/// split.  The longest server-to-server path is still two switches.
-struct QuartzDualTorParams {
-  int racks = 9;
-  int hosts_per_rack = 4;
-  BitsPerSecond mesh_rate = gigabits_per_second(10);
-  SwitchModel switch_model = SwitchModel::ull();
-  LinkDefaults links;
-};
-BuiltTopology quartz_dual_tor(const QuartzDualTorParams& params);
-
 /// Single non-blocking store-and-forward core switch with all hosts
 /// attached (the Fig. 19(b) / Fig. 20 baseline).
 struct SingleSwitchParams {

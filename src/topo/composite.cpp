@@ -28,18 +28,6 @@ bool is_plain_ring(const BuiltTopology& e) {
 // ---------------------------------------------------------------------------
 // Spec grammar
 
-std::int64_t CompositeSpec::switch_count() const {
-  std::int64_t total = 1;
-  for (const int d : dims) total *= d;
-  if (kind == "ring-of-trees") {
-    // One aggregation switch per leaf pod on top of the ToRs.
-    std::int64_t pods = 1;
-    for (std::size_t l = 0; l + 1 < dims.size(); ++l) pods *= dims[l];
-    total += pods;
-  }
-  return total;
-}
-
 std::optional<CompositeSpec> CompositeSpec::parse(std::string_view text, std::string* error) {
   const auto fail = [&](std::string message) -> std::optional<CompositeSpec> {
     if (error != nullptr) *error = std::move(message);

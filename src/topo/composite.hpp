@@ -132,8 +132,6 @@ struct CompositeSpec {
   int modeled_hosts_per_switch = 0;
 
   int levels() const { return static_cast<int>(dims.size()); }
-  std::int64_t switch_count() const;
-
   static std::optional<CompositeSpec> parse(std::string_view text, std::string* error = nullptr);
   /// Canonical form; parse(to_string()) round-trips.
   std::string to_string() const;

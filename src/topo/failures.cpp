@@ -217,11 +217,4 @@ SurvivalOutcome try_survive_fiber_cuts(const BuiltTopology& topo,
   return outcome;
 }
 
-BuiltTopology survive_fiber_cuts(const BuiltTopology& topo, const std::vector<FiberCut>& cuts) {
-  SurvivalOutcome outcome = try_survive_fiber_cuts(topo, cuts);
-  QUARTZ_CHECK(!outcome.partitioned, "fiber cuts partitioned the mesh");
-  outcome.degraded.graph.validate();
-  return std::move(outcome.degraded);
-}
-
 }  // namespace quartz::topo

@@ -20,23 +20,18 @@ struct FiberCut {
   int segment = 0;  ///< fiber span index on that ring (0..M-1)
 };
 
-/// Rebuild `topo` with every mesh link severed by `cuts` removed.
-/// Works on any topology whose quartz_rings each stripe their channels
+/// Rebuild `topo` with every mesh link severed by `cuts` removed, and
+/// report the connectivity outcome.  Works on any topology whose quartz_rings each stripe their channels
 /// over a contiguous physical-ring range (quartz_ring(), and composed
 /// fabrics, whose builder keeps per-leaf-ring ranges disjoint via
 /// add_quartz_mesh's phys_ring_base); the channel plan is re-derived
 /// deterministically to map each lightpath to the segments it crosses.
 /// Legacy multi-ring builders that number every ring from zero share
 /// cut fate across rings with overlapping ranges.  Host links and
-/// non-WDM links are untouched.  Throws if the surviving graph is disconnected
-/// (the Fig. 6 partition case) — callers wanting to observe partitions
-/// should use try_survive_fiber_cuts or core::evaluate_failures.
-BuiltTopology survive_fiber_cuts(const BuiltTopology& topo, const std::vector<FiberCut>& cuts);
-
-/// Non-throwing variant: always returns the degraded topology together
-/// with its connectivity outcome, so callers can report the partition
-/// case instead of handling std::logic_error.  When `partitioned`, the
-/// degraded graph fails Graph::validate() and must not be simulated.
+/// non-WDM links are untouched.  A cut set that disconnects the
+/// surviving graph (the Fig. 6 partition case) is reported, not thrown:
+/// when `partitioned`, the degraded graph fails Graph::validate() and
+/// must not be simulated.
 struct SurvivalOutcome {
   BuiltTopology degraded;
   std::size_t severed = 0;  ///< mesh links removed by the cuts
@@ -53,7 +48,7 @@ std::vector<std::pair<NodeId, NodeId>> severed_lightpaths(const BuiltTopology& t
 
 /// Same severed set as LinkIds *in the original topology* — the form
 /// the packet simulator's fail_link()/FaultScheduler consume for live
-/// fault injection (the dynamic counterpart of survive_fiber_cuts).
+/// fault injection (the dynamic counterpart of try_survive_fiber_cuts).
 std::vector<LinkId> severed_links(const BuiltTopology& topo, const std::vector<FiberCut>& cuts);
 
 }  // namespace quartz::topo

@@ -51,35 +51,6 @@ class ChannelPool {
   std::vector<std::uint64_t> busy_;
 };
 
-Assignment greedy_impl(int ring_size, Rng* rng) {
-  QUARTZ_REQUIRE(ring_size >= 2 && ring_size <= kMaxRingSize, "ring size out of range");
-  Assignment result;
-  result.ring_size = ring_size;
-  result.paths.reserve(static_cast<std::size_t>(pair_count(ring_size)));
-
-  ChannelPool pool;
-  // Long paths first (§3.1.1): they are the most constrained, and
-  // placing them early avoids fragmenting the channels.
-  for (int len = ring_size / 2; len >= 1; --len) {
-    std::vector<Lightpath> klass = length_class(ring_size, len);
-    const std::size_t offset =
-        (rng != nullptr && !klass.empty()) ? rng->next_below(klass.size()) : 0;
-    for (std::size_t i = 0; i < klass.size(); ++i) {
-      Lightpath p = klass[(i + offset) % klass.size()];
-      const std::uint64_t mask = segment_mask(ring_size, p.src, p.dst, p.dir);
-      p.channel = pool.first_fit(mask);
-      pool.occupy(p.channel, mask);
-      result.paths.push_back(p);
-    }
-  }
-  result.channels_used = pool.channels_used();
-
-  std::sort(result.paths.begin(), result.paths.end(), [](const Lightpath& a, const Lightpath& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
-  return result;
-}
-
 /// DFS state for the exact solver: can every pair be assigned within
 /// `max_channels` colours?
 class ExactSearch {
@@ -205,8 +176,6 @@ class ExactSearch {
 
 }  // namespace
 
-Assignment greedy_assign(int ring_size, Rng& rng) { return greedy_impl(ring_size, &rng); }
-
 Assignment greedy_assign_unordered(int ring_size, Rng& rng) {
   QUARTZ_REQUIRE(ring_size >= 2 && ring_size <= kMaxRingSize, "ring size out of range");
   // All pairs, shortest-arc orientation, shuffled.
@@ -239,7 +208,30 @@ Assignment greedy_assign_unordered(int ring_size, Rng& rng) {
   return result;
 }
 
-Assignment greedy_assign(int ring_size) { return greedy_impl(ring_size, nullptr); }
+Assignment greedy_assign(int ring_size) {
+  QUARTZ_REQUIRE(ring_size >= 2 && ring_size <= kMaxRingSize, "ring size out of range");
+  Assignment result;
+  result.ring_size = ring_size;
+  result.paths.reserve(static_cast<std::size_t>(pair_count(ring_size)));
+
+  ChannelPool pool;
+  // Long paths first (§3.1.1): they are the most constrained, and
+  // placing them early avoids fragmenting the channels.
+  for (int len = ring_size / 2; len >= 1; --len) {
+    for (Lightpath p : length_class(ring_size, len)) {
+      const std::uint64_t mask = segment_mask(ring_size, p.src, p.dst, p.dir);
+      p.channel = pool.first_fit(mask);
+      pool.occupy(p.channel, mask);
+      result.paths.push_back(p);
+    }
+  }
+  result.channels_used = pool.channels_used();
+
+  std::sort(result.paths.begin(), result.paths.end(), [](const Lightpath& a, const Lightpath& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
+  return result;
+}
 
 ExactResult exact_assign(int ring_size, std::uint64_t node_budget) {
   QUARTZ_REQUIRE(ring_size >= 2 && ring_size <= kMaxRingSize, "ring size out of range");

@@ -7,8 +7,8 @@
 //
 //  * greedy_assign() — the §3.1.1 algorithm: process arcs in
 //    decreasing-length classes (long paths first, to avoid fragmenting
-//    channels), start each class at a random ring offset, and first-fit
-//    the lowest channel free on every crossed segment; and
+//    channels) and first-fit the lowest channel free on every crossed
+//    segment; and
 //  * exact_assign() — a certified branch-and-bound stand-in for the
 //    ILP: iterative deepening on the channel count starting from
 //    channel_lower_bound(), with a DFS over (direction, channel)
@@ -27,11 +27,8 @@
 
 namespace quartz::wavelength {
 
-/// Greedy first-fit assignment (§3.1.1).  `rng` supplies the per-class
-/// random start offset; pass a fixed seed for reproducible plans.
-Assignment greedy_assign(int ring_size, Rng& rng);
-
-/// Deterministic variant starting every class at offset zero.
+/// Greedy first-fit assignment (§3.1.1), starting every length class
+/// at ring offset zero so the plan is deterministic.
 Assignment greedy_assign(int ring_size);
 
 /// Ablation baseline: first-fit over pairs in RANDOM order, ignoring

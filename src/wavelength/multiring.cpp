@@ -17,19 +17,4 @@ int ring_for_channel(int channel, int physical_rings) {
   return channel % physical_rings;
 }
 
-std::vector<int> channels_per_ring(const Assignment& assignment, int physical_rings) {
-  QUARTZ_REQUIRE(physical_rings >= 1, "need at least one physical ring");
-  std::vector<int> counts(static_cast<std::size_t>(physical_rings), 0);
-  std::vector<bool> seen(static_cast<std::size_t>(assignment.channels_used), false);
-  for (const auto& p : assignment.paths) {
-    QUARTZ_REQUIRE(p.channel >= 0 && p.channel < assignment.channels_used,
-                   "assignment has unassigned or out-of-range channel");
-    if (!seen[static_cast<std::size_t>(p.channel)]) {
-      seen[static_cast<std::size_t>(p.channel)] = true;
-      ++counts[static_cast<std::size_t>(ring_for_channel(p.channel, physical_rings))];
-    }
-  }
-  return counts;
-}
-
 }  // namespace quartz::wavelength

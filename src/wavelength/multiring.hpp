@@ -21,8 +21,4 @@ int rings_required(int channels_used, int channels_per_mux);
 /// counts and lightpath lengths across rings.
 int ring_for_channel(int channel, int physical_rings);
 
-/// Per-ring channel counts for an assignment striped over
-/// `physical_rings` rings (each must fit within a mux's capacity).
-std::vector<int> channels_per_ring(const Assignment& assignment, int physical_rings);
-
 }  // namespace quartz::wavelength

@@ -23,6 +23,7 @@
 #include <iostream>
 
 #include "chaos/slo_storm.hpp"
+#include "chaos/storm_sweep.hpp"
 
 namespace quartz::chaos {
 namespace {

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "chaos/soak.hpp"
+#include "chaos/storm_sweep.hpp"
 #include "chaos/storm_run.hpp"
 #include "common/units.hpp"
 #include "snapshot/io.hpp"

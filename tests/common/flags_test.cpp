@@ -58,12 +58,6 @@ TEST(Flags, RejectsJunkNumbers) {
   EXPECT_THROW(f.get_double("rate", 0.0), std::invalid_argument);
 }
 
-TEST(Flags, KeysEnumerated) {
-  const Flags f = parse({"--a=1", "--b", "--c=x"});
-  const auto keys = f.keys();
-  EXPECT_EQ(keys.size(), 3u);
-}
-
 TEST(Flags, LastValueWinsOnRepeat) {
   const Flags f = parse({"--n=1", "--n=2"});
   EXPECT_EQ(f.get_int("n", 0), 2);

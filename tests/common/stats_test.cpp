@@ -30,7 +30,6 @@ TEST(RunningStats, SingleSampleHasZeroVariance) {
   RunningStats s;
   s.add(3.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.confidence_half_width(), 0.0);
 }
 
 TEST(RunningStats, MergeEqualsCombinedStream) {
@@ -82,14 +81,6 @@ TEST(RunningStats, ManyChunkMergeMatchesSinglePass) {
   EXPECT_NEAR(merged.variance(), single.variance(), 1e-6);
   EXPECT_DOUBLE_EQ(merged.min(), single.min());
   EXPECT_DOUBLE_EQ(merged.max(), single.max());
-}
-
-TEST(RunningStats, ConfidenceShrinksWithSamples) {
-  Rng rng(7);
-  RunningStats small, large;
-  for (int i = 0; i < 100; ++i) small.add(rng.next_double());
-  for (int i = 0; i < 10'000; ++i) large.add(rng.next_double());
-  EXPECT_GT(small.confidence_half_width(0.95), large.confidence_half_width(0.95));
 }
 
 TEST(SampleSet, PercentilesExactOnKnownData) {
@@ -148,37 +139,6 @@ TEST(SampleSet, SortCacheInvalidatedByAdd) {
   EXPECT_DOUBLE_EQ(s.max(), 9.0);  // must not return the stale sorted view
   s.add(1.0);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
-}
-
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(3.0);   // bin 1
-  h.add(9.99);  // bin 4
-  h.add(-5.0);  // clamps to bin 0
-  h.add(42.0);  // clamps to bin 4
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin(0), 2u);
-  EXPECT_EQ(h.bin(1), 1u);
-  EXPECT_EQ(h.bin(2), 0u);
-  EXPECT_EQ(h.bin(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lower(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_upper(1), 4.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, AsciiRendersEveryBin) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(1.0);
-  h.add(1.5);
-  h.add(3.0);
-  const std::string art = h.ascii(10);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 4);
-  EXPECT_NE(art.find('#'), std::string::npos);
 }
 
 }  // namespace

@@ -42,21 +42,5 @@ TEST(Table, WholeDoublesPrintWithoutDecimals) {
   EXPECT_EQ(t.to_text().find("40.0"), std::string::npos);
 }
 
-TEST(Table, CsvEscapesSpecialCells) {
-  Table t({"a", "b"});
-  t.add_row({"with,comma", "with\"quote"});
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"with\"\"quote\""), std::string::npos);
-}
-
-TEST(Table, CsvHasHeaderAndRows) {
-  Table t({"x", "y"});
-  t.add(1, 2);
-  t.add(3, 4);
-  EXPECT_EQ(t.to_csv(), "x,y\n1,2\n3,4\n");
-  EXPECT_EQ(t.rows(), 2u);
-}
-
 }  // namespace
 }  // namespace quartz

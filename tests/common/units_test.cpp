@@ -48,11 +48,5 @@ TEST(Units, FormatTimePicksUnit) {
   EXPECT_EQ(format_time(5), "5 ps");
 }
 
-TEST(Units, FormatRatePicksUnit) {
-  EXPECT_EQ(format_rate(gigabits_per_second(40)), "40 Gb/s");
-  EXPECT_EQ(format_rate(megabits_per_second(200)), "200 Mb/s");
-  EXPECT_EQ(format_rate(kilobits_per_second(3)), "3 kb/s");
-}
-
 }  // namespace
 }  // namespace quartz

@@ -83,9 +83,8 @@ TEST(Design, ChannelsVerifyAgainstPlan) {
 }
 
 TEST(Scalability, PaperNumbers) {
-  // §3.2: 64-port switches -> 1056 single-ToR ports, 2080 dual-ToR.
+  // §3.2: 64-port switches -> 1056 single-ToR ports.
   EXPECT_EQ(max_single_tor_ports(64), 1056);
-  EXPECT_EQ(max_dual_tor_ports(64), 2080);
   // If cut-through port counts grow, Quartz scales quadratically.
   EXPECT_EQ(max_single_tor_ports(128), 64 * 65);
   EXPECT_THROW(max_single_tor_ports(1), std::invalid_argument);

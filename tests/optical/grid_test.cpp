@@ -46,11 +46,6 @@ TEST(Grid, ChannelIndexBounds) {
   EXPECT_THROW(grid.channel(4), std::invalid_argument);
 }
 
-TEST(Grid, Names) {
-  EXPECT_EQ(WavelengthGrid::dwdm(80).name(), "DWDM-100GHz/80");
-  EXPECT_EQ(WavelengthGrid::cwdm(4).name(), "CWDM/4");
-}
-
 TEST(Grid, PaperCapacityConstants) {
   // §3.1: 160 channels per fiber, ~80 per commodity mux.
   EXPECT_EQ(kMaxChannelsPerFiber, 160u);

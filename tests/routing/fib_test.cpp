@@ -238,7 +238,7 @@ TEST(Fib, OracleReconfigurationInvalidates) {
   const topo::NodeId tor = topo.graph.neighbors(key.src)[0].peer;
   fib.next_link(tor, key);
   const std::uint64_t epoch = oracle.state_epoch();
-  oracle.set_soft_fail_threshold(0.1);
+  oracle.attach_loss_view(nullptr);
   EXPECT_NE(oracle.state_epoch(), epoch);
   FlowKey again = key;
   fib.next_link(tor, again);

@@ -362,14 +362,14 @@ TEST(EcmpOracle, TracksTheSoftFailThreshold) {
   oracle.attach_loss_view(&losses);
   const NodeId src = f.topo.host_groups[0][0];
   const NodeId dst = f.topo.host_groups[3][0];
-  losses.loss[direct_link(f.topo, f.topo.tors[0], f.topo.tors[3])] = 0.01;
+  const LinkId direct = direct_link(f.topo, f.topo.tors[0], f.topo.tors[3]);
 
-  // 1% loss sits below the default 2% soft-fail threshold: stay direct.
+  // 1% loss sits below the 2% soft-fail threshold: stay direct.
+  losses.loss[direct] = kSoftFailLossThreshold - 0.01;
   EXPECT_EQ(walk(f.topo.graph, oracle, src, dst, 7).size(), 2u);
-  // Tighten the threshold and the same loss becomes a soft failure.
-  oracle.set_soft_fail_threshold(0.001);
+  // 3% loss crosses it and becomes a soft failure.
+  losses.loss[direct] = kSoftFailLossThreshold + 0.01;
   EXPECT_EQ(walk(f.topo.graph, oracle, src, dst, 7).size(), 3u);
-  EXPECT_THROW(oracle.set_soft_fail_threshold(-0.1), std::invalid_argument);
 }
 
 TEST(EcmpOracle, StaysDirectWhenEveryDetourIsWorse) {

@@ -76,7 +76,7 @@ TEST(Regroom, RoutingDuringOpenTransactionThrows) {
   RegroomFixture f;
   f.oracle->begin_regroom();
   EXPECT_THROW(f.route_once(f.host(0, 0), f.host(1, 0)), std::logic_error);
-  f.oracle->abort_regroom();
+  f.oracle->commit_regroom();
   EXPECT_NO_THROW(f.route_once(f.host(0, 0), f.host(1, 0)));
 }
 
@@ -84,7 +84,6 @@ TEST(Regroom, ImmediatePinDuringOpenTransactionThrows) {
   RegroomFixture f;
   f.oracle->begin_regroom();
   EXPECT_THROW(f.oracle->pin(f.host(0, 0), f.host(1, 0), f.topo.tors[2]), std::logic_error);
-  f.oracle->abort_regroom();
 }
 
 TEST(Regroom, NestedBeginAndDanglingStageThrow) {
@@ -94,21 +93,6 @@ TEST(Regroom, NestedBeginAndDanglingStageThrow) {
   EXPECT_THROW(f.oracle->commit_regroom(), std::logic_error);
   f.oracle->begin_regroom();
   EXPECT_THROW(f.oracle->begin_regroom(), std::logic_error);
-  f.oracle->abort_regroom();
-}
-
-TEST(Regroom, AbortDiscardsTheStagedPlan) {
-  RegroomFixture f;
-  const std::uint64_t epoch_before = f.oracle->state_epoch();
-  f.oracle->begin_regroom();
-  f.oracle->stage_pin(f.host(0, 0), f.host(1, 0), f.topo.tors[2]);
-  f.oracle->abort_regroom();
-  EXPECT_EQ(f.oracle->pin_count(), 0u);
-  EXPECT_EQ(f.oracle->state_epoch(), epoch_before);
-  // A later commit does not resurrect aborted changes.
-  f.oracle->begin_regroom();
-  const auto result = f.oracle->commit_regroom();
-  EXPECT_EQ(result.applied, 0);
 }
 
 TEST(Regroom, CommitRejectsPinsWithDeadDetourLegs) {
@@ -193,7 +177,6 @@ TEST(Regroom, StagePinValidatesEndpoints) {
                std::invalid_argument);
   EXPECT_THROW(f.oracle->stage_pin(f.host(0, 0), f.host(1, 0), f.host(2, 0)),
                std::invalid_argument);
-  f.oracle->abort_regroom();
 }
 
 }  // namespace

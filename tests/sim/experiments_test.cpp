@@ -271,8 +271,6 @@ TEST(Decomposition, QueueingShareSmallAtLightLoadLargeNearSaturation) {
 TEST(Names, AllEnumsHaveNames) {
   EXPECT_EQ(fabric_name(Fabric::kThreeTierTree), "three-tier tree");
   EXPECT_EQ(pattern_name(Pattern::kScatterGather), "scatter/gather");
-  EXPECT_EQ(prototype_name(PrototypeFabric::kQuartz), "quartz");
-  EXPECT_EQ(core_kind_name(CoreKind::kQuartzVlb), "quartz in core (VLB)");
 }
 
 }  // namespace

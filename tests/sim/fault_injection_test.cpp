@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/fault.hpp"
 #include "routing/oracle.hpp"
 #include "sim/fluid.hpp"
 #include "sim/network.hpp"
@@ -281,16 +280,6 @@ TEST(FaultInjection, PoissonChurnConservesPacketsAndConverges) {
   EXPECT_GT(net.packets_delivered(), 0u);
 }
 
-TEST(PoissonFaultParams, FromAvailabilityMatchesSteadyStateModel) {
-  core::AvailabilityParams availability;  // 0.5 cuts/km/year over 0.1 km spans
-  const auto p = PoissonFaultParams::from_availability(availability, 0, seconds(2));
-  EXPECT_NEAR(p.failures_per_link_per_hour,
-              availability.cuts_per_km_per_year * availability.span_km / 8766.0, 1e-12);
-  EXPECT_DOUBLE_EQ(p.mean_repair_hours, availability.mttr_hours);
-  EXPECT_EQ(p.start, 0);
-  EXPECT_EQ(p.stop, seconds(2));
-}
-
 TEST(FaultScheduler, OverlappingCutWindowsDoNotResurrectTheLink) {
   // Regression: two scripted cut windows overlap on one link.  The
   // first window's repair used to bring the link back up while the
@@ -452,24 +441,6 @@ TEST(FaultScheduler, RejectsBadComponentFaultInputs) {
                std::invalid_argument);
   EXPECT_THROW(net.set_link_loss(direct, -0.1), std::invalid_argument);
   EXPECT_THROW(net.set_link_loss(direct, 1.1), std::invalid_argument);
-}
-
-TEST(PoissonFaultParams, FromAvailabilityRejectsDegenerateInputs) {
-  core::AvailabilityParams availability;
-  availability.cuts_per_km_per_year = 0.0;
-  EXPECT_THROW(PoissonFaultParams::from_availability(availability, 0, seconds(1)),
-               std::invalid_argument);
-  availability = {};
-  availability.span_km = -1.0;
-  EXPECT_THROW(PoissonFaultParams::from_availability(availability, 0, seconds(1)),
-               std::invalid_argument);
-  availability = {};
-  availability.mttr_hours = 0.0;
-  EXPECT_THROW(PoissonFaultParams::from_availability(availability, 0, seconds(1)),
-               std::invalid_argument);
-  availability = {};
-  EXPECT_THROW(PoissonFaultParams::from_availability(availability, seconds(1), seconds(1)),
-               std::invalid_argument);
 }
 
 TEST(FaultScheduler, RejectsBadTimelines) {

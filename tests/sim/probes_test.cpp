@@ -140,7 +140,7 @@ TEST(ProbePlane, RejectsBadOptionsAndUnknownLinks) {
   bad = {};
   bad.start = -1;
   EXPECT_THROW(ProbePlane(net, monitor, bad), std::invalid_argument);
-  ProbePlane probes(net, monitor);
+  ProbePlane probes(net, monitor, {});
   EXPECT_THROW(probes.start({topo::LinkId(999'999)}), std::invalid_argument);
 }
 

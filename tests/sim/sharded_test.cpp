@@ -302,6 +302,13 @@ TEST(ShardedSim, BarrierBoundaryTiesMatchSerial) {
   EXPECT_EQ(tie_digest(topo, routing, 4, gap, packets, horizon), serial);
 }
 
+/// Cross-shard transits posted across all shards so far.
+std::uint64_t mail_posted(sim::ShardedSim& sharded) {
+  std::uint64_t total = 0;
+  sharded.visit([&total](int, sim::Shard& shard) { total += shard.network().mail_posted(); });
+  return total;
+}
+
 TEST(ShardedSim, CrossShardTrafficUsesMailboxes) {
   const auto topo = flat_ring(8, 1);
   const routing::EcmpRouting routing(topo.graph);
@@ -312,8 +319,11 @@ TEST(ShardedSim, CrossShardTrafficUsesMailboxes) {
       });
   sharded.visit([](int, sim::Shard& shard) { static_cast<TieShard&>(shard).arm(); });
   sharded.run_until(microseconds(50));
-  EXPECT_GT(sharded.mail_posted(), 0u);
-  EXPECT_GT(sharded.events_processed(), 0u);
+  EXPECT_GT(mail_posted(sharded), 0u);
+  std::uint64_t events = 0;
+  sharded.visit(
+      [&events](int, sim::Shard& shard) { events += shard.network().events_processed(); });
+  EXPECT_GT(events, 0u);
 }
 
 TEST(ShardedSim, WindowLedgerCountsEveryWindow) {
@@ -341,7 +351,7 @@ TEST(ShardedSim, WindowLedgerCountsEveryWindow) {
   }
   // Mailboxes quiesce at every run_until return: all mail was drained.
   EXPECT_GT(drained, 0u);
-  EXPECT_EQ(drained, sharded.mail_posted());
+  EXPECT_EQ(drained, mail_posted(sharded));
   const double share = sim::barrier_wait_share(stats);
   EXPECT_GE(share, 0.0);
   EXPECT_LE(share, 1.0);

@@ -109,22 +109,6 @@ TEST(SweepRunner, InlineWhenSinglePointOrSingleJob) {
   EXPECT_EQ(out[0], 42);
 }
 
-TEST(MergedStats, MatchesSingleAccumulator) {
-  RunningStats all;
-  std::vector<RunningStats> parts(3);
-  for (int i = 0; i < 300; ++i) {
-    const double v = 0.25 * i - 17.0;
-    all.add(v);
-    parts[static_cast<std::size_t>(i % 3)].add(v);
-  }
-  const RunningStats merged = merged_stats(parts);
-  EXPECT_EQ(merged.count(), all.count());
-  EXPECT_NEAR(merged.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(merged.stddev(), all.stddev(), 1e-9);
-  EXPECT_EQ(merged.min(), all.min());
-  EXPECT_EQ(merged.max(), all.max());
-}
-
 // --- replica sweeps over the real simulator ---------------------------------
 
 TaskExperimentParams small_experiment() {

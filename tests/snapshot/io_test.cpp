@@ -121,6 +121,18 @@ TEST(SnapshotIo, RejectsBadMagicVersionAndCrc) {
   EXPECT_NE(error.find("CRC"), std::string::npos) << error;
 }
 
+TEST(SnapshotIo, RefusesVersionOneFiles) {
+  // Version 2 dropped the per-line activity counters from the network
+  // chunk, so a version-1 file must be refused, not misparsed.
+  ASSERT_EQ(kFormatVersion, 2u);
+  std::vector<std::byte> v1 = file_bytes(sample_writer(), 1);
+  v1[8] = std::byte{1};  // version:u32 little-endian, after the 8-byte magic
+  v1[9] = v1[10] = v1[11] = std::byte{0};
+  std::string error;
+  EXPECT_FALSE(Reader::from_bytes(v1, &error).has_value());
+  EXPECT_EQ(error, "unsupported version 1");
+}
+
 TEST(SnapshotIo, DetectsTornWrites) {
   const std::vector<std::byte> good = file_bytes(sample_writer(), 1);
   std::string error;

@@ -196,7 +196,6 @@ TEST(Builders, PortBudgetsRespectedEverywhere) {
   EXPECT_NO_THROW(dcell1({}).graph.validate());
   EXPECT_NO_THROW(jellyfish({}).graph.validate());
   EXPECT_NO_THROW(quartz_ring({}).graph.validate());
-  EXPECT_NO_THROW(quartz_dual_tor({}).graph.validate());
   EXPECT_NO_THROW(quartz_in_core({}).graph.validate());
   EXPECT_NO_THROW(quartz_in_edge({}).graph.validate());
   EXPECT_NO_THROW(quartz_in_edge_and_core({}).graph.validate());
@@ -216,50 +215,6 @@ TEST(Builders, RejectsInvalidParams) {
   BCubeParams tiny_bcube;
   tiny_bcube.n = 1;
   EXPECT_THROW(bcube1(tiny_bcube), std::invalid_argument);
-}
-
-TEST(Builders, DualTorReachesPaperScale) {
-  // §3.2: 64-port switches, 32 hosts/rack, 65 racks -> 2080 ports and
-  // every rack pair one lightpath with a 2-switch longest path.
-  QuartzDualTorParams p;
-  p.racks = 9;
-  p.hosts_per_rack = 4;
-  const BuiltTopology t = quartz_dual_tor(p);
-  EXPECT_EQ(t.hosts.size(), 36u);
-  EXPECT_EQ(t.graph.switches().size(), 18u);
-  // Every host dual-homed.
-  for (NodeId h : t.hosts) EXPECT_EQ(t.graph.degree(h), 2u);
-  // Inter-switch links: one per rack pair.
-  EXPECT_EQ(inter_switch_links(t.graph), 9 * 8 / 2);
-  // Every switch carries exactly (racks-1)/2 mesh ports.
-  for (NodeId sw : t.tors) {
-    EXPECT_EQ(t.graph.degree(sw), static_cast<std::size_t>(4 + 4));
-  }
-  EXPECT_NO_THROW(t.graph.validate());
-}
-
-TEST(Builders, DualTorRequiresOddRacks) {
-  QuartzDualTorParams p;
-  p.racks = 8;
-  EXPECT_THROW(quartz_dual_tor(p), std::invalid_argument);
-  p.racks = 1;
-  EXPECT_THROW(quartz_dual_tor(p), std::invalid_argument);
-}
-
-TEST(Builders, DualTorEveryRackPairDirect) {
-  QuartzDualTorParams p;
-  p.racks = 7;
-  p.hosts_per_rack = 2;
-  const BuiltTopology t = quartz_dual_tor(p);
-  // For each rack pair there must be a switch-to-switch link whose
-  // endpoints live in those two racks.
-  std::set<std::pair<int, int>> covered;
-  for (const auto& link : t.graph.links()) {
-    if (!t.graph.is_switch(link.a) || !t.graph.is_switch(link.b)) continue;
-    const auto pair = std::minmax(t.graph.node(link.a).rack, t.graph.node(link.b).rack);
-    covered.insert(pair);
-  }
-  EXPECT_EQ(covered.size(), 7u * 6u / 2u);
 }
 
 TEST(Builders, DCellShape) {

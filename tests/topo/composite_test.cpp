@@ -51,7 +51,6 @@ TEST(CompositeSpec, ParseFields) {
   EXPECT_EQ(spec->hosts_per_switch, 2);
   EXPECT_EQ(spec->modeled_hosts_per_switch, 10);
   EXPECT_EQ(spec->levels(), 3);
-  EXPECT_EQ(spec->switch_count(), 4 * 6 * 8);
 }
 
 TEST(CompositeSpec, RejectsMalformedSpecs) {

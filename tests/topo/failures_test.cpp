@@ -4,13 +4,23 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
+#include "common/check.hpp"
 #include "routing/oracle.hpp"
 #include "sim/network.hpp"
 #include "wavelength/assign.hpp"
 
 namespace quartz::topo {
 namespace {
+
+/// The degraded fabric after `cuts`; throws if they partition the mesh.
+BuiltTopology survive_fiber_cuts(const BuiltTopology& topo, const std::vector<FiberCut>& cuts) {
+  SurvivalOutcome outcome = try_survive_fiber_cuts(topo, cuts);
+  QUARTZ_CHECK(!outcome.partitioned, "fiber cuts partitioned the mesh");
+  outcome.degraded.graph.validate();
+  return std::move(outcome.degraded);
+}
 
 BuiltTopology eight_ring() {
   QuartzRingParams p;

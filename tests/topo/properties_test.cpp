@@ -114,18 +114,6 @@ TEST(Properties, JellyfishDiameterSmall) {
   EXPECT_GE(props.switch_hops, 2);
 }
 
-TEST(Properties, DualTorTwoSwitchWorstCase) {
-  QuartzDualTorParams p;
-  p.racks = 9;
-  p.hosts_per_rack = 2;
-  const TopologyProperties props = analyze(quartz_dual_tor(p));
-  EXPECT_EQ(props.switch_hops, 2);
-  EXPECT_EQ(props.server_hops, 0);
-  EXPECT_EQ(props.zero_load_latency, nanoseconds(760));
-  // Dual-homed hosts: diversity measured host-to-host is the 2 NICs.
-  EXPECT_EQ(props.path_diversity, 2);
-}
-
 TEST(Properties, DCellMatchesServerCentricProfile) {
   DCellParams p;
   p.n = 6;

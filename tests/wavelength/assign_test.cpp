@@ -33,15 +33,6 @@ TEST(Greedy, NearOptimalVsLowerBound) {
   }
 }
 
-TEST(Greedy, RandomStartOffsetsStayValid) {
-  Rng rng(123);
-  for (int trial = 0; trial < 20; ++trial) {
-    const Assignment a = greedy_assign(12, rng);
-    std::string error;
-    EXPECT_TRUE(verify(a, &error)) << error;
-  }
-}
-
 TEST(Greedy, DeterministicWithoutRng) {
   const Assignment a = greedy_assign(15);
   const Assignment b = greedy_assign(15);
@@ -137,21 +128,6 @@ TEST_P(GreedyValiditySweep, AssignmentVerifies) {
 
 INSTANTIATE_TEST_SUITE_P(RingSizes, GreedyValiditySweep,
                          ::testing::Range(2, 42));
-
-class GreedySeededSweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(GreedySeededSweep, RandomOffsetsNeverBreakValidity) {
-  Rng rng(GetParam());
-  const Assignment a = greedy_assign(24, rng);
-  std::string error;
-  EXPECT_TRUE(verify(a, &error)) << error;
-  // The randomized variant should stay in the same channel ballpark.
-  const int deterministic = greedy_assign(24).channels_used;
-  EXPECT_LE(a.channels_used, deterministic + deterministic / 4);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, GreedySeededSweep,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 
 class UnorderedGreedySweep : public ::testing::TestWithParam<int> {};
 

@@ -156,7 +156,7 @@ TEST_P(VerifierMutationSweep, RandomCorruptionsAreCaughtOrStillValid) {
   // form another valid assignment — never an inconsistent acceptance.
   Rng rng(GetParam());
   const int m = 6 + static_cast<int>(rng.next_below(8));
-  Assignment good = greedy_assign(m, rng);
+  Assignment good = greedy_assign(m);
   ASSERT_TRUE(verify(good));
 
   for (int trial = 0; trial < 50; ++trial) {

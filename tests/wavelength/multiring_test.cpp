@@ -3,11 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "wavelength/assign.hpp"
 
 namespace quartz::wavelength {
 namespace {
+
+/// Per-ring channel counts for an assignment striped over
+/// `physical_rings` rings by ring_for_channel.
+std::vector<int> channels_per_ring(const Assignment& assignment, int physical_rings) {
+  std::vector<int> counts(static_cast<std::size_t>(physical_rings), 0);
+  std::vector<bool> seen(static_cast<std::size_t>(assignment.channels_used), false);
+  for (const auto& p : assignment.paths) {
+    if (!seen[static_cast<std::size_t>(p.channel)]) {
+      seen[static_cast<std::size_t>(p.channel)] = true;
+      ++counts[static_cast<std::size_t>(ring_for_channel(p.channel, physical_rings))];
+    }
+  }
+  return counts;
+}
 
 TEST(MultiRing, RingsRequired) {
   EXPECT_EQ(rings_required(0, 80), 0);
